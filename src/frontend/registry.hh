@@ -4,7 +4,7 @@
  *
  * The five evaluated machines (Figure 7) and the four primary
  * scheduling policies are data, not code: one table each, shared
- * by the runner suites, the siwi-run CLI and the benches, so a
+ * by the machine registry, the siwi-run CLI and the benches, so a
  * new machine variant or policy is one added row instead of
  * another `if (mode == ...)` branch.
  */

@@ -87,25 +87,6 @@ ArgList::doubleOption(const std::string &name, double *value)
     return true;
 }
 
-int
-finishBench(const Results &res, const std::string &json_path)
-{
-    if (!json_path.empty()) {
-        std::string err;
-        if (!res.save(json_path, &err)) {
-            std::fprintf(stderr, "%s\n", err.c_str());
-            return 1;
-        }
-    }
-    if (res.timeouts()) {
-        std::fprintf(stderr,
-                     "%zu cell(s) timed out at the cycle cap\n",
-                     res.timeouts());
-        return 1;
-    }
-    return res.verificationFailures() ? 1 : 0;
-}
-
 bool
 smsAxisOption(ArgList &args, const char *prog,
               std::vector<unsigned> *out)

@@ -169,7 +169,6 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::mutex io_mutex;
-    std::mutex cb_mutex;
 
     auto worker = [&] {
         for (;;) {
@@ -177,20 +176,24 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
             if (i >= cells.size())
                 return;
             const CellSpec &cs = cells[i];
+            bool cached = false;
             CellResult c =
-                runCell(sweeps[cs.sweep], cs.machine, cs.wl,
-                        cs.sms, cs.policy, opts.cycle_skip);
+                opts.run_cell
+                    ? opts.run_cell(sweeps[cs.sweep], cs, &cached)
+                    : runCell(sweeps[cs.sweep], cs.machine, cs.wl,
+                              cs.sms, cs.policy, opts.cycle_skip);
             size_t n = done.fetch_add(1) + 1;
             if (opts.progress || !c.verified || c.timed_out) {
                 std::lock_guard<std::mutex> lock(io_mutex);
                 if (opts.progress) {
-                    std::fprintf(stderr,
-                                 "[%zu/%zu] %s %s %s  ipc %.2f%s%s\n",
-                                 n, cells.size(), c.sweep.c_str(),
-                                 c.machine.c_str(),
-                                 c.workload.c_str(), c.ipc,
-                                 c.verified ? "" : "  VERIFY FAIL",
-                                 c.timed_out ? "  TIMED OUT" : "");
+                    std::fprintf(
+                        stderr,
+                        "[%zu/%zu] %s %s %s  ipc %.2f%s%s%s\n", n,
+                        cells.size(), c.sweep.c_str(),
+                        c.machine.c_str(), c.workload.c_str(),
+                        c.ipc, cached ? "  (cached)" : "",
+                        c.verified ? "" : "  VERIFY FAIL",
+                        c.timed_out ? "  TIMED OUT" : "");
                 } else if (!c.verified) {
                     std::fprintf(
                         stderr,
@@ -205,10 +208,6 @@ runSweeps(const std::vector<SweepSpec> &sweeps_in,
                         "simulated prefix\n",
                         c.workload.c_str(), c.machine.c_str());
                 }
-            }
-            if (opts.on_cell) {
-                std::lock_guard<std::mutex> lock(cb_mutex);
-                opts.on_cell(i, c);
             }
             out.cells[i] = std::move(c);
         }

@@ -43,16 +43,17 @@ struct RunOptions
      */
     bool cycle_skip = true;
     /**
-     * Completion hook: called once per finished cell with its
-     * canonical index (the slot in Results::cells) and result,
-     * as soon as the cell completes — execution order, not
-     * canonical order. Invoked from worker threads, serialized
-     * under an internal mutex, so the callback itself need not
-     * lock. Streaming consumers (serve/cached_run.hh) hang their
-     * cache stores and progress wires off this; it cannot affect
-     * the returned Results.
+     * Per-cell execution hook: produce the result of @p cell of
+     * @p sweep, setting @p *cached (initially false) when it was
+     * served rather than simulated — progress lines then carry a
+     * "(cached)" tag. Invoked concurrently from worker threads.
+     * Empty means runCell() with #cycle_skip; the result cache
+     * (serve/cached_run.hh) wraps its lookup and store around
+     * that.
      */
-    std::function<void(size_t index, const CellResult &)> on_cell;
+    std::function<CellResult(const SweepSpec &sweep,
+                             const CellSpec &cell, bool *cached)>
+        run_cell;
 };
 
 /**
@@ -118,8 +119,9 @@ Results runSweeps(const std::vector<SweepSpec> &sweeps,
                   const RunOptions &opts = {});
 
 /**
- * Run one (workload, config, SM count, policy) cell, the
- * primitive the benches used to call runCell() for. @p sms and
+ * Run one (workload, config, SM count, policy) cell: what
+ * runSweeps() does per cell unless RunOptions::run_cell says
+ * otherwise. @p sms and
  * @p policy index the sweep's SM-count and scheduling-policy axes
  * (default: their first entries); @p cycle_skip as in RunOptions.
  */

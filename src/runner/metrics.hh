@@ -1,7 +1,7 @@
 /**
  * @file
- * Summary metrics shared by the benches, the siwi-run CLI and the
- * CI regression gate (previously private to bench/bench_common).
+ * Summary metrics shared by the tables, the figure reports and
+ * the CI regression gate.
  */
 
 #ifndef SIWI_RUNNER_METRICS_HH

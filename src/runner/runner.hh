@@ -7,8 +7,11 @@
  *   #include "runner/runner.hh"
  *
  *   using namespace siwi;
- *   auto sweeps = {runner::fig7Sweep(true,
- *                      workloads::SizeClass::Full)};
+ *   runner::MachineRegistry reg;
+ *   std::vector<runner::SweepSpec> sweeps;
+ *   std::string label, err;
+ *   runner::loadSpecFile("bench/specs/fig7.json", &reg, &sweeps,
+ *                        &label, &err);
  *   runner::RunOptions opts;
  *   opts.jobs = 8;
  *   runner::Results res = runner::runSweeps(sweeps, opts);
@@ -25,9 +28,9 @@
 #include "runner/cli.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/metrics.hh"
+#include "runner/reports.hh"
 #include "runner/results.hh"
 #include "runner/spec.hh"
-#include "runner/suites.hh"
 #include "runner/sweep.hh"
 #include "runner/table.hh"
 

@@ -69,7 +69,7 @@ MachineRegistry::MachineRegistry()
     for (const frontend::MachineEntry &m :
          frontend::machineRegistry())
         machines_.push_back(
-            {m.name, pipeline::SMConfig::make(m.mode)});
+            {m.name, pipeline::SMConfig::make(m.mode), {}});
 }
 
 bool

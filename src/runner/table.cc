@@ -9,15 +9,6 @@
 
 namespace siwi::runner {
 
-namespace {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((format(printf, 2, 3)))
-#endif
-    ;
-
 void
 appendf(std::string &out, const char *fmt, ...)
 {
@@ -29,6 +20,8 @@ appendf(std::string &out, const char *fmt, ...)
     if (n > 0)
         out.append(buf, std::min(size_t(n), sizeof(buf) - 1));
 }
+
+namespace {
 
 std::string
 formatTable(const std::vector<TableRow> &rows,

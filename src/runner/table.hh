@@ -1,8 +1,7 @@
 /**
  * @file
- * Text table rendering for sweep results (moved here from
- * bench/bench_common so the benches, siwi-run and the tests share
- * one implementation).
+ * Text table rendering for sweep results, shared by siwi-run, the
+ * figure reports and the tests.
  */
 
 #ifndef SIWI_RUNNER_TABLE_HH
@@ -14,6 +13,16 @@
 #include "runner/results.hh"
 
 namespace siwi::runner {
+
+/**
+ * Append printf-style formatted text to @p out (at most 255
+ * bytes per call; the table and report lines are far shorter).
+ */
+void appendf(std::string &out, const char *fmt, ...)
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((format(printf, 2, 3)))
+#endif
+    ;
 
 /** One table row label plus its exclude-from-means flag. */
 struct TableRow

@@ -34,10 +34,10 @@ struct CachedRunCounters
 
 /**
  * runner::runSweeps() with a read-through / write-through result
- * cache: identical grid normalization, canonical cell order,
- * RunOptions semantics (jobs, progress, on_cell, cycle_skip) and
- * return value. @p counters (optional) reports the hit/miss
- * split.
+ * cache installed as its per-cell hook (RunOptions::run_cell, so
+ * any hook in @p opts is replaced): same grid normalization,
+ * canonical cell order and return value. @p counters (optional)
+ * reports the hit/miss split.
  */
 runner::Results runSweepsCached(
     const std::vector<runner::SweepSpec> &sweeps,

@@ -352,16 +352,9 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
 
     sub->remaining = sub->cells.size();
     for (size_t i = 0; i < sub->cells.size(); ++i) {
-        const std::string key =
-            cellCacheKey(sub->sweeps[sub->cells[i].sweep],
-                         sub->cells[i]);
-        runner::CellResult cell;
-        if (cache_.lookup(key, &cell)) {
-            ++sub->hits;
-            sub->deliver(i, cell, /*cached=*/true, 0);
-            continue;
-        }
-        scheduleCell(sub, i, key);
+        scheduleCell(sub, i,
+                     cellCacheKey(sub->sweeps[sub->cells[i].sweep],
+                                  sub->cells[i]));
     }
     {
         std::unique_lock<std::mutex> lock(sub->mu);
@@ -390,18 +383,33 @@ void
 Server::scheduleCell(const std::shared_ptr<Submission> &sub,
                      size_t index, const std::string &key)
 {
+    // The one cache probe of this cell, made under the lock that
+    // computeAndDeliver() retires in-flight cells with: a computed
+    // cell is stored before it leaves inflight_, so every cell is
+    // a hit, a join or cold, and this server never computes a
+    // cell twice.
+    runner::CellResult cell;
+    bool hit = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            // The same cell is already computing for some
-            // submission (possibly another client's): join it.
-            it->second.emplace_back(sub, index);
-            ++sub->joined;
-            return;
+        hit = cache_.lookup(key, &cell);
+        if (!hit) {
+            auto it = inflight_.find(key);
+            if (it != inflight_.end()) {
+                // The same cell is already computing for some
+                // submission (possibly another client's): join.
+                it->second.emplace_back(sub, index);
+                ++sub->joined;
+                return;
+            }
+            inflight_[key].emplace_back(sub, index);
+            ++stats_.inflight;
         }
-        inflight_[key].emplace_back(sub, index);
-        ++stats_.inflight;
+    }
+    if (hit) {
+        ++sub->hits;
+        sub->deliver(index, cell, /*cached=*/true, 0);
+        return;
     }
     ++sub->misses;
     pool_->submit([this, sub, index, key] {
@@ -413,24 +421,15 @@ void
 Server::computeAndDeliver(const std::shared_ptr<Submission> &sub,
                           size_t index, const std::string &key)
 {
-    // Re-check the cache at execution time: another process
-    // sharing the cache directory may have stored the cell while
-    // this one sat queued.
-    runner::CellResult cell;
-    u64 ms = 0;
-    bool computed = false;
-    if (!cache_.lookup(key, &cell)) {
-        const runner::CellSpec &cs = sub->cells[index];
-        const u64 c0 = monoMillis();
-        cell = runner::runCell(sub->sweeps[cs.sweep], cs.machine,
-                               cs.wl, cs.sms, cs.policy);
-        ms = monoMillis() - c0;
-        computed = true;
-        std::string serr;
-        if (!cache_.store(key, cell, &serr))
-            std::fprintf(stderr, "siwi-serve: %s\n",
-                         serr.c_str());
-    }
+    const runner::CellSpec &cs = sub->cells[index];
+    const u64 c0 = monoMillis();
+    runner::CellResult cell =
+        runner::runCell(sub->sweeps[cs.sweep], cs.machine, cs.wl,
+                        cs.sms, cs.policy);
+    const u64 ms = monoMillis() - c0;
+    std::string serr;
+    if (!cache_.store(key, cell, &serr))
+        std::fprintf(stderr, "siwi-serve: %s\n", serr.c_str());
     std::vector<std::pair<std::shared_ptr<Submission>, size_t>>
         waiters;
     {
@@ -441,15 +440,12 @@ Server::computeAndDeliver(const std::shared_ptr<Submission> &sub,
             inflight_.erase(it);
         }
         --stats_.inflight;
-        if (computed) {
-            ++stats_.cells_computed;
-            stats_.compute_ms_total += ms;
-            stats_.compute_ms_max =
-                std::max(stats_.compute_ms_max, ms);
-        }
+        ++stats_.cells_computed;
+        stats_.compute_ms_total += ms;
+        stats_.compute_ms_max = std::max(stats_.compute_ms_max, ms);
     }
     for (auto &[wsub, widx] : waiters)
-        wsub->deliver(widx, cell, !computed, ms);
+        wsub->deliver(widx, cell, /*cached=*/false, ms);
 }
 
 } // namespace siwi::serve

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "../bench_spec.hh"
 #include "common/rng.hh"
 #include "pipeline/config_io.hh"
 #include "pipeline/sm.hh"
@@ -76,7 +77,7 @@ expectEquivalent(const workloads::Workload &wl,
 TEST(SteppingEquivalence, FastSuiteCells)
 {
     SleepAuditScope audit;
-    std::vector<SweepSpec> sweeps = runner::suiteSweeps("fast");
+    std::vector<SweepSpec> sweeps = test::benchSpec("fast");
     ASSERT_FALSE(sweeps.empty());
     for (const CellSpec &cs : runner::expandCells(sweeps)) {
         const SweepSpec &s = sweeps[cs.sweep];

@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the parallel experiment runner: sweep expansion,
- * filtering, suite definitions, and — the load-bearing property —
- * thread-count independence of the results.
+ * filtering, the checked-in suite and figure specs, and — the
+ * load-bearing property — thread-count independence of the
+ * results.
  */
 
 #include <gtest/gtest.h>
 
+#include "../bench_spec.hh"
 #include "common/log.hh"
 #include "runner/experiment_runner.hh"
-#include "runner/suites.hh"
 #include "runner/table.hh"
 
 using namespace siwi;
@@ -18,11 +19,18 @@ using workloads::SizeClass;
 
 namespace {
 
+/** The Figure 7 irregular panel at Tiny size. */
+SweepSpec
+tinyFig7Irregular()
+{
+    return test::benchSpec("fig7", SizeClass::Tiny).at(1);
+}
+
 /** A 2-machine x 2-workload grid small enough for unit tests. */
 SweepSpec
 tinyGrid()
 {
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = tinyFig7Irregular();
     s.name = "grid";
     s.filterMachines({"Baseline", "SBI"});
     s.filterWorkloads({"BFS", "Histogram"});
@@ -46,20 +54,22 @@ TEST(Sweep, ExpandsInCanonicalOrder)
 
 TEST(Sweep, FiltersDropUnknownNames)
 {
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = tinyFig7Irregular();
     size_t all = s.machines.size();
     s.filterMachines({"Baseline", "NoSuchMachine"});
     EXPECT_EQ(s.machines.size(), 1u);
-    s = fig7Sweep(false, SizeClass::Tiny);
+    s = tinyFig7Irregular();
     s.filterMachines({});
     EXPECT_EQ(s.machines.size(), all); // empty filter keeps all
 }
 
 TEST(Suites, FigureAndSuiteRegistry)
 {
-    for (const std::string &f : knownFigures()) {
+    // siwi-run --figure NAME loads bench/specs/NAME.json.
+    for (const char *f :
+         {"fig7", "fig8a", "fig8b", "fig9", "policy", "scaling"}) {
         std::vector<SweepSpec> sweeps =
-            figureSweeps(f, SizeClass::Tiny);
+            test::benchSpec(f, SizeClass::Tiny);
         // Paper figures come as a regular/irregular panel pair;
         // the scaling study pairs the legacy single-pipe chip
         // with the banked-memory chip over one mixed panel.
@@ -70,15 +80,19 @@ TEST(Suites, FigureAndSuiteRegistry)
             EXPECT_GT(s.sms.size(), 0u) << f;
         }
     }
-    EXPECT_TRUE(figureSweeps("nope", SizeClass::Tiny).empty());
-    for (const std::string &s : knownSuites())
-        EXPECT_FALSE(suiteSweeps(s).empty()) << s;
-    EXPECT_TRUE(suiteSweeps("nope").empty());
+    for (const char *s : {"fast", "fig7", "scaling"})
+        EXPECT_FALSE(test::benchSpec(s).empty()) << s;
+    MachineRegistry reg;
+    std::vector<SweepSpec> none;
+    std::string label, err;
+    EXPECT_FALSE(loadSpecFile(test::benchSpecPath("nope.json"), &reg,
+                              &none, &label, &err));
+    EXPECT_TRUE(none.empty());
 }
 
 TEST(Suites, FastSuiteIsTinyFig7PlusMultiSmSmoke)
 {
-    std::vector<SweepSpec> sweeps = suiteSweeps("fast");
+    std::vector<SweepSpec> sweeps = test::benchSpec("fast");
     ASSERT_EQ(sweeps.size(), 3u);
     for (size_t i = 0; i < 2; ++i) {
         EXPECT_EQ(sweeps[i].size, SizeClass::Tiny);
@@ -96,12 +110,15 @@ TEST(Suites, FastSuiteIsTinyFig7PlusMultiSmSmoke)
 
 TEST(Suites, ScalingSweepCoversTheAcceptanceGrid)
 {
-    SweepSpec s = scalingSweep(SizeClass::Tiny);
+    std::vector<SweepSpec> scaling =
+        test::benchSpec("scaling", SizeClass::Tiny);
+    ASSERT_EQ(scaling.size(), 2u);
+    const SweepSpec &s = scaling[0];
     EXPECT_EQ(s.sms, (std::vector<unsigned>{1u, 2u, 4u, 8u}));
     EXPECT_GE(s.wls.size(), 4u);
     EXPECT_EQ(s.machines.size(), 2u);
 
-    SweepSpec b = scalingBankedSweep(SizeClass::Tiny);
+    const SweepSpec &b = scaling[1];
     EXPECT_EQ(b.sms, (std::vector<unsigned>{1u, 2u, 4u, 8u, 16u,
                                             32u, 64u}));
     EXPECT_EQ(b.machines.size(), 2u);
@@ -229,7 +246,7 @@ TEST(Runner, BankedChipIdenticalAcrossThreadCounts)
     // gates that the lockstep SM stepping order (port order = SM
     // index order) and the passive banked backend leave cells
     // pure: no shared state, no run-order sensitivity.
-    SweepSpec s = scalingBankedSweep(SizeClass::Full);
+    SweepSpec s = test::benchSpec("scaling", SizeClass::Full).at(1);
     s.name = "banked_grid";
     s.filterWorkloads({"MatrixMul", "ConvolutionSeparable"});
     s.sms = {4, 16};
@@ -327,7 +344,7 @@ TEST(Runner, GoldenMachinePolicyGridDeterministic)
     // for any -j, all verified, with the oldest-first column
     // reproducing the plain fig7 cells bit-exactly.
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = tinyFig7Irregular();
     s.name = "golden";
     s.filterWorkloads({"BFS"});
     s.policies.clear();
@@ -357,7 +374,7 @@ TEST(Runner, GoldenMachinePolicyGridDeterministic)
         EXPECT_FALSE(c.timed_out) << c.machine;
         if (c.policy == "oldest") {
             // Bit-identical to the plain fig7 cell.
-            SweepSpec plain = fig7Sweep(false, SizeClass::Tiny);
+            SweepSpec plain = tinyFig7Irregular();
             plain.filterWorkloads({"BFS"});
             size_t mi = 0;
             while (plain.machines[mi].name != c.machine)

@@ -1,16 +1,18 @@
 /**
  * @file
  * Golden spec-file test: the checked-in bench/specs/fast.json —
- * the grid the CI regression gate runs — must produce JSON
- * byte-identical to the legacy compiled fastSuite() path, at one
- * worker and at eight. This pins the spec-file route as a drop-in
- * replacement for hand-written SweepSpec construction before the
- * compiled path is retired, and exercises determinism of the
- * whole spec -> expand -> run -> serialize pipeline.
+ * the grid the CI regression gate runs — must produce one JSON
+ * document at one worker and at eight, with event-driven cycle
+ * skipping on and off, and that document must match the committed
+ * bench/baseline.json at tolerance 0. This is the baseline gate
+ * itself, run as a unit test over the whole spec -> expand -> run
+ * -> serialize pipeline.
  */
 
 #include <gtest/gtest.h>
 
+#include "../bench_spec.hh"
+#include "common/log.hh"
 #include "runner/runner.hh"
 
 using namespace siwi;
@@ -18,30 +20,36 @@ using namespace siwi::runner;
 
 namespace {
 
-TEST(SpecGolden, FastSpecMatchesLegacyFastSuiteByteForByte)
+TEST(SpecGolden, FastSpecMatchesCommittedBaselineInBothSteppingModes)
 {
-    MachineRegistry reg;
-    std::vector<SweepSpec> spec_sweeps;
-    std::string label, err;
-    ASSERT_TRUE(loadSpecFile(std::string(SIWI_SOURCE_DIR) +
-                                 "/bench/specs/fast.json",
-                             &reg, &spec_sweeps, &label, &err))
+    setLogQuiet(true);
+    const std::vector<SweepSpec> sweeps = test::benchSpec("fast");
+    ASSERT_FALSE(sweeps.empty());
+
+    Results base;
+    std::string err;
+    ASSERT_TRUE(Results::load(std::string(SIWI_SOURCE_DIR) +
+                                  "/bench/baseline.json",
+                              &base, &err))
         << err;
-    ASSERT_EQ(label, "fast");
 
-    RunOptions legacy_opts;
-    legacy_opts.jobs = 1;
-    legacy_opts.suite_label = "fast";
-    std::string legacy =
-        runSweeps(suiteSweeps("fast"), legacy_opts).toJsonText();
-
-    for (unsigned jobs : {1u, 8u}) {
-        RunOptions opts;
-        opts.jobs = jobs;
-        opts.suite_label = label;
-        std::string spec_json =
-            runSweeps(spec_sweeps, opts).toJsonText();
-        EXPECT_EQ(spec_json, legacy) << "jobs=" << jobs;
+    std::string first;
+    for (bool cycle_skip : {true, false}) {
+        for (unsigned jobs : {1u, 8u}) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                         " cycle_skip=" + std::to_string(cycle_skip));
+            RunOptions opts;
+            opts.jobs = jobs;
+            opts.suite_label = "fast";
+            opts.cycle_skip = cycle_skip;
+            Results res = runSweeps(sweeps, opts);
+            std::string json = res.toJsonText();
+            if (first.empty())
+                first = json;
+            EXPECT_EQ(json, first);
+            CompareReport rep = compareResults(base, res, 0.0);
+            EXPECT_TRUE(rep.pass()) << rep.format();
+        }
     }
 }
 

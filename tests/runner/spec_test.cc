@@ -1,16 +1,16 @@
 /**
  * @file
  * Tests for the SimSpec layer: the runtime machine registry,
- * machine files, spec-file expansion (including the drift gates
- * that pin every checked-in bench spec file to the compiled
- * suite it mirrors), machine-column deduplication, and the
- * resolved-config block embedded into results.
+ * machine files, spec-file expansion, machine-column
+ * deduplication, and the resolved-config block embedded into
+ * results.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 
+#include "../bench_spec.hh"
 #include "common/log.hh"
 #include "core/config_io.hh"
 #include "pipeline/config_io.hh"
@@ -22,10 +22,11 @@ using workloads::SizeClass;
 
 namespace {
 
-std::string
-specPath(const std::string &name)
+/** The Figure 7 irregular panel at Tiny size. */
+SweepSpec
+tinyFig7Irregular()
 {
-    return std::string(SIWI_SOURCE_DIR) + "/bench/specs/" + name;
+    return test::benchSpec("fig7", SizeClass::Tiny).at(1);
 }
 
 Json
@@ -35,37 +36,6 @@ parseJson(const std::string &text)
     Json j = Json::parse(text, &err);
     EXPECT_TRUE(err.empty()) << err;
     return j;
-}
-
-/** Full structural equality of two sweep lists. */
-void
-expectSameSweeps(const std::vector<SweepSpec> &got,
-                 const std::vector<SweepSpec> &want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-        const SweepSpec &g = got[i], &w = want[i];
-        EXPECT_EQ(g.name, w.name);
-        EXPECT_EQ(g.size, w.size);
-        EXPECT_EQ(g.sms, w.sms) << g.name;
-        EXPECT_EQ(g.policies, w.policies) << g.name;
-        ASSERT_EQ(g.machines.size(), w.machines.size())
-            << g.name;
-        for (size_t m = 0; m < g.machines.size(); ++m) {
-            EXPECT_EQ(g.machines[m].name, w.machines[m].name)
-                << g.name;
-            EXPECT_TRUE(g.machines[m].config ==
-                        w.machines[m].config)
-                << g.name << "/" << g.machines[m].name;
-            EXPECT_EQ(g.machines[m].chip_sets,
-                      w.machines[m].chip_sets)
-                << g.name << "/" << g.machines[m].name;
-        }
-        ASSERT_EQ(g.wls.size(), w.wls.size()) << g.name;
-        for (size_t wl = 0; wl < g.wls.size(); ++wl)
-            EXPECT_STREQ(g.wls[wl]->name(), w.wls[wl]->name())
-                << g.name;
-    }
 }
 
 TEST(MachineRegistry, SeedsThePaperMachinesCaseInsensitively)
@@ -85,11 +55,13 @@ TEST(MachineRegistry, RejectsDuplicateNames)
 {
     MachineRegistry reg;
     std::string err;
-    EXPECT_TRUE(reg.add({"Custom", pipeline::SMConfig{}}, &err));
-    EXPECT_FALSE(reg.add({"custom", pipeline::SMConfig{}}, &err));
+    EXPECT_TRUE(
+        reg.add({"Custom", pipeline::SMConfig{}, {}}, &err));
+    EXPECT_FALSE(
+        reg.add({"custom", pipeline::SMConfig{}, {}}, &err));
     EXPECT_NE(err.find("custom"), std::string::npos);
     EXPECT_FALSE(
-        reg.add({"baseline", pipeline::SMConfig{}}, &err));
+        reg.add({"baseline", pipeline::SMConfig{}, {}}, &err));
 }
 
 TEST(MachineFromJson, BasePlusSetBuildsADerivedMachine)
@@ -147,8 +119,8 @@ TEST(MachineFile, LoadsTheCheckedInExample)
     MachineSpec m;
     std::string err;
     ASSERT_TRUE(loadMachineFile(
-        specPath("machines/sbi_swi_cct16_xor.json"), reg, &m,
-        &err))
+        test::benchSpecPath("machines/sbi_swi_cct16_xor.json"), reg,
+        &m, &err))
         << err;
     EXPECT_EQ(m.name, "SBI+SWI-cct16-xor");
     EXPECT_EQ(m.config.heap.cct_capacity, 16u);
@@ -186,45 +158,6 @@ TEST(MachineFile, RejectsFileToFileIndirection)
     EXPECT_FALSE(loadMachineFile(path, reg, &m, &err));
     EXPECT_NE(err.find("cannot reference"), std::string::npos)
         << err;
-}
-
-TEST(SpecFile, CheckedInSpecsMatchTheCompiledSuites)
-{
-    // The drift gates: every bench/specs file must expand to
-    // exactly the grid its compiled counterpart builds. A change
-    // to either side without the other fails here.
-    struct Case
-    {
-        const char *file;
-        const char *label;
-        std::vector<SweepSpec> want;
-    };
-    const Case cases[] = {
-        {"fast.json", "fast", suiteSweeps("fast")},
-        {"fig7.json", "fig7",
-         figureSweeps("fig7", SizeClass::Full)},
-        {"fig8a.json", "fig8a",
-         figureSweeps("fig8a", SizeClass::Full)},
-        {"fig8b.json", "fig8b",
-         figureSweeps("fig8b", SizeClass::Full)},
-        {"fig9.json", "fig9",
-         figureSweeps("fig9", SizeClass::Full)},
-        {"policy.json", "policy",
-         figureSweeps("policy", SizeClass::Full)},
-        {"scaling.json", "scaling",
-         figureSweeps("scaling", SizeClass::Chip)},
-    };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.file);
-        MachineRegistry reg;
-        std::vector<SweepSpec> sweeps;
-        std::string label, err;
-        ASSERT_TRUE(loadSpecFile(specPath(c.file), &reg, &sweeps,
-                                 &label, &err))
-            << err;
-        EXPECT_EQ(label, c.label);
-        expectSameSweeps(sweeps, c.want);
-    }
 }
 
 TEST(SpecFile, StrictErrorsNameTheOffender)
@@ -371,7 +304,7 @@ TEST(SpecFile, InlineMachinesAndSpecMachinesSection)
 TEST(Dedupe, IdenticalMachineColumnsCollapseWithAWarning)
 {
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = tinyFig7Irregular();
     s.filterMachines({"Baseline", "SBI"});
     MachineSpec twin = s.machines[0];
     twin.name = "Baseline-again"; // same config, new name
@@ -386,7 +319,7 @@ TEST(Dedupe, IdenticalMachineColumnsCollapseWithAWarning)
 TEST(Dedupe, RunSweepsNeverRunsADuplicateColumn)
 {
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = tinyFig7Irregular();
     s.name = "dup";
     s.filterMachines({"Baseline"});
     s.filterWorkloads({"BFS"});
@@ -406,7 +339,7 @@ TEST(Results, EmbedsTheResolvedMachineConfigs)
     MachineSpec custom;
     std::string err;
     ASSERT_TRUE(loadMachineFile(
-        specPath("machines/sbi_swi_cct16_xor.json"), reg,
+        test::benchSpecPath("machines/sbi_swi_cct16_xor.json"), reg,
         &custom, &err))
         << err;
 
@@ -454,7 +387,7 @@ TEST(Results, MachineLevelSchedPolicyIsHonored)
     // default oldest-first policy axis — and show up in the cell
     // label and the resolved config.
     setLogQuiet(true);
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = tinyFig7Irregular();
     s.name = "polfield";
     s.filterMachines({"Baseline"});
     s.filterWorkloads({"BFS"});
@@ -474,7 +407,7 @@ TEST(Results, MachineLevelSchedPolicyIsHonored)
               frontend::SchedPolicyKind::GreedyThenOldest);
 
     // ...and match what an explicit policy-axis run produces.
-    SweepSpec axis = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec axis = tinyFig7Irregular();
     axis.name = "polfield";
     axis.filterMachines({"Baseline"});
     axis.filterWorkloads({"BFS"});
@@ -491,7 +424,7 @@ TEST(Results, MachineLevelSchedPolicyIsHonored)
 
 TEST(Results, MachineRecordsFollowCanonicalOrder)
 {
-    SweepSpec s = fig7Sweep(false, SizeClass::Tiny);
+    SweepSpec s = tinyFig7Irregular();
     s.filterMachines({"Baseline", "SBI"});
     s.filterWorkloads({"BFS"});
     s.sms = {1, 2};

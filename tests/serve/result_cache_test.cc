@@ -3,8 +3,9 @@
  * The persistent result cache: store/lookup round-trips exactly,
  * corruption of any blob byte is detected and served as a miss
  * (never as a wrong result), eviction is deterministic
- * oldest-first, and fsck finds — and with repair, fixes — both
- * corrupt objects and index drift.
+ * oldest-first, fsck finds — and with repair, fixes — both
+ * corrupt objects and index drift, and a cache-backed sweep
+ * (siwi-run --cache) returns exactly what a plain sweep does.
  */
 
 #include <filesystem>
@@ -14,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "core/stats_io.hh"
+#include "runner/spec.hh"
 #include "serve/cache_key.hh"
+#include "serve/cached_run.hh"
 #include "serve/result_cache.hh"
 
 using namespace siwi;
@@ -225,9 +229,10 @@ TEST_F(ResultCacheTest, NoStrayTempFilesAfterStores)
         ASSERT_TRUE(cache.store(makeKey(n), makeCell(n), &err));
     for (const auto &e :
          fs::recursive_directory_iterator(path())) {
-        if (e.is_regular_file())
+        if (e.is_regular_file()) {
             EXPECT_EQ(e.path().extension(), ".json")
                 << "stray file: " << e.path();
+        }
     }
 }
 
@@ -288,4 +293,41 @@ TEST_F(ResultCacheTest, LostIndexIsRebuiltFromObjects)
     EXPECT_TRUE(rep.index_rebuilt);
     EXPECT_EQ(cache.entries(), 3u);
     EXPECT_TRUE(cache.fsck(false).clean());
+}
+
+TEST_F(ResultCacheTest, CachedSweepMatchesAPlainRunColdAndWarm)
+{
+    setLogQuiet(true);
+    std::string err;
+    Json spec = Json::parse(R"({"name": "cached", "sweeps": [{
+        "name": "cached", "machines": ["Baseline", "SBI+SWI"],
+        "workloads": ["BFS", "MatrixMul"], "size": "tiny",
+        "sms": [1, 2]}]})",
+                            &err);
+    ASSERT_TRUE(err.empty()) << err;
+    runner::MachineRegistry reg;
+    std::vector<runner::SweepSpec> sweeps;
+    std::string label;
+    ASSERT_TRUE(runner::sweepsFromSpecJson(spec, ".", &reg, &sweeps,
+                                           &label, &err))
+        << err;
+    runner::RunOptions opts;
+    opts.jobs = 4;
+    opts.suite_label = label;
+    const std::string plain =
+        runner::runSweeps(sweeps, opts).toJsonText();
+
+    ResultCache cache;
+    ASSERT_TRUE(cache.open(path(), 0, &err)) << err;
+    CachedRunCounters cold, warm;
+    EXPECT_EQ(runSweepsCached(sweeps, opts, &cache, &cold)
+                  .toJsonText(),
+              plain);
+    EXPECT_EQ(cold.hits, 0u);
+    EXPECT_EQ(cold.misses, 8u);
+    EXPECT_EQ(runSweepsCached(sweeps, opts, &cache, &warm)
+                  .toJsonText(),
+              plain);
+    EXPECT_EQ(warm.hits, 8u);
+    EXPECT_EQ(warm.misses, 0u);
 }

@@ -4,8 +4,9 @@
  * port, driven through the real TCP client. Covers the submit
  * stream (cold compute, warm all-hits, byte-identity with a local
  * run), resume across a server restart on the same cache,
- * poisoned-blob recomputation, cross-submission in-flight dedupe
- * and the single-shot request types.
+ * poisoned-blob recomputation, cross-submission in-flight dedupe,
+ * one cache probe per submitted cell, and the single-shot request
+ * types.
  */
 
 #include <filesystem>
@@ -137,6 +138,33 @@ TEST_F(ServeTest, ColdComputesWarmHitsByteIdentical)
               localRun().toJsonText());
     EXPECT_EQ(cold.document.dump(2) + "\n",
               cold.results.toJsonText());
+}
+
+TEST_F(ServeTest, ColdSubmissionCountsEachMissOnce)
+{
+    // Three cold cells: the server's cache counters must move by
+    // exactly one probe per cell, not one per code path that
+    // looks the cell up.
+    std::string err;
+    spec_ = Json::parse(R"({"name": "three", "sweeps": [{
+        "name": "three", "machines": ["Baseline", "SBI", "SWI"],
+        "workloads": ["BFS"], "size": "tiny"}]})",
+                        &err);
+    ASSERT_TRUE(err.empty()) << err;
+    const ServerStatus before = server_->status();
+    SubmitOutcome cold;
+    ASSERT_TRUE(submit(&cold, &err)) << err;
+    ASSERT_EQ(cold.cells, 3u);
+    const ServerStatus after = server_->status();
+    EXPECT_EQ(after.cache.misses - before.cache.misses, 3u);
+    EXPECT_EQ(after.cache.hits - before.cache.hits, 0u);
+    EXPECT_EQ(after.cells_computed - before.cells_computed, 3u);
+
+    SubmitOutcome warm;
+    ASSERT_TRUE(submit(&warm, &err)) << err;
+    const ServerStatus again = server_->status();
+    EXPECT_EQ(again.cache.misses, after.cache.misses);
+    EXPECT_EQ(again.cache.hits - after.cache.hits, 3u);
 }
 
 TEST_F(ServeTest, ProgressStreamsEveryCell)

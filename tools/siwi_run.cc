@@ -16,12 +16,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/config_io.hh"
 #include "frontend/registry.hh"
 #include "pipeline/config_io.hh"
+#include "runner/reports.hh"
 #include "runner/runner.hh"
 #include "serve/cached_run.hh"
 #include "serve/client.hh"
@@ -37,6 +39,30 @@ constexpr int exit_regression = 2;
 constexpr int exit_usage = 3;
 constexpr int exit_io = 4;
 
+/** Where --suite / --figure NAME finds bench/specs/NAME.json. */
+const std::string spec_dir =
+    std::string(SIWI_SOURCE_DIR) + "/bench/specs/";
+
+/** The figures `--suite full` runs, in report order. */
+const std::vector<std::string> full_suite = {
+    "fig7", "fig8a", "fig8b", "fig9", "policy", "scaling"};
+
+/** Load bench/specs/NAME.json on a copy of @p registry. */
+bool
+loadNamedSpec(const std::string &name,
+              const MachineRegistry &registry,
+              std::vector<SweepSpec> *out, std::string *err)
+{
+    const std::string path = spec_dir + name + ".json";
+    if (!std::filesystem::exists(path)) {
+        *err = "no spec named '" + name + "' (no " + path + ")";
+        return false;
+    }
+    MachineRegistry reg = registry;
+    std::string label;
+    return loadSpecFile(path, &reg, out, &label, err);
+}
+
 void
 usage(FILE *out)
 {
@@ -44,10 +70,13 @@ usage(FILE *out)
 "usage: siwi-run [options]\n"
 "\n"
 "run selection:\n"
-"  --suite NAME       fast | fig7 | scaling | full "
-"(default: fast)\n"
+"  --suite NAME       run bench/specs/NAME.json (fast, fig7,\n"
+"                     scaling, ...), or full = every figure\n"
+"                     (default: fast)\n"
 "  --figure NAME      fig7 | fig8a | fig8b | fig9 | policy |\n"
-"                     scaling; repeatable, overrides --suite\n"
+"                     scaling (bench/specs/NAME.json, printed\n"
+"                     with its figure report); repeatable,\n"
+"                     overrides --suite\n"
 "  --spec PATH        run the experiment described by a JSON\n"
 "                     spec file (see docs/CONFIG.md and\n"
 "                     bench/specs/); excludes --suite/--figure\n"
@@ -196,6 +225,7 @@ emitAndGate(const Results &res, bool quiet,
             std::fputs(formatSweepTable(res, name).c_str(),
                        stdout);
         }
+        std::fputs(formatReports(res).c_str(), stdout);
     }
 
     std::string err;
@@ -271,17 +301,33 @@ main(int argc, char **argv)
         return exit_ok;
     }
     if (args.flag("--list-suites")) {
+        std::vector<std::string> suites;
+        std::error_code ec;
+        for (const auto &e :
+             std::filesystem::directory_iterator(spec_dir, ec)) {
+            if (e.path().extension() == ".json")
+                suites.push_back(e.path().stem().string());
+        }
+        std::sort(suites.begin(), suites.end());
+        suites.push_back("full");
         std::printf("suites:");
-        for (const std::string &s : knownSuites())
+        for (const std::string &s : suites)
             std::printf(" %s", s.c_str());
         std::printf("\nfigures:");
-        for (const std::string &f : knownFigures())
+        for (const std::string &f : full_suite)
             std::printf(" %s", f.c_str());
         std::printf("\nmachines:");
         std::vector<std::string> machines;
-        for (const std::string &f : knownFigures()) {
-            for (const SweepSpec &s : figureSweeps(
-                     f, workloads::SizeClass::Tiny)) {
+        for (const std::string &f : full_suite) {
+            std::vector<SweepSpec> sweeps;
+            std::string err;
+            if (!loadNamedSpec(f, MachineRegistry(), &sweeps,
+                               &err)) {
+                std::fprintf(stderr, "siwi-run: %s\n",
+                             err.c_str());
+                return exit_io;
+            }
+            for (const SweepSpec &s : sweeps) {
                 for (const MachineSpec &m : s.machines) {
                     if (std::find(machines.begin(),
                                   machines.end(),
@@ -483,7 +529,8 @@ main(int argc, char **argv)
         added_machines.push_back(m.name);
     }
 
-    // Build the sweep list.
+    // Build the sweep list: every selection is a spec file, named
+    // (--suite / --figure NAME = bench/specs/NAME.json) or not.
     std::vector<SweepSpec> sweeps;
     std::string label;
     if (have_spec) {
@@ -499,43 +546,34 @@ main(int argc, char **argv)
             std::fprintf(stderr, "siwi-run: %s\n", serr.c_str());
             return exit_usage;
         }
-    } else if (!figures.empty()) {
-        // Figures default to Full size; the --size override below
-        // applies to these sweeps like any others. Dedup repeats:
-        // duplicate sweep names would corrupt the result tables.
-        std::vector<std::string> seen;
-        std::erase_if(figures, [&](const std::string &f) {
-            if (std::find(seen.begin(), seen.end(), f) !=
-                seen.end())
-                return true;
-            seen.push_back(f);
-            return false;
-        });
+    } else {
+        // Dedup repeated figures: duplicate sweep names would
+        // corrupt the result tables.
+        std::vector<std::string> names;
         for (const std::string &f : figures) {
-            // The scaling figure needs chip-size grids (Full is
-            // sized for one SM); paper figures default to Full.
-            // An explicit --size below still overrides either.
-            std::vector<SweepSpec> fs = figureSweeps(
-                f, f == "scaling" ? workloads::SizeClass::Chip
-                                  : workloads::SizeClass::Full);
-            if (fs.empty()) {
-                std::fprintf(stderr,
-                             "siwi-run: unknown figure: %s\n",
-                             f.c_str());
-                return exit_usage;
-            }
-            for (SweepSpec &s : fs)
-                sweeps.push_back(std::move(s));
+            if (std::find(names.begin(), names.end(), f) !=
+                names.end())
+                continue;
+            names.push_back(f);
             label += (label.empty() ? "" : ",") + f;
         }
-    } else {
-        sweeps = suiteSweeps(suite);
-        if (sweeps.empty()) {
-            std::fprintf(stderr, "siwi-run: unknown suite: %s\n",
-                         suite.c_str());
-            return exit_usage;
+        if (names.empty()) {
+            names = suite == "full" ? full_suite
+                                    : std::vector<std::string>{
+                                          suite};
+            label = suite;
         }
-        label = suite;
+        for (const std::string &name : names) {
+            std::vector<SweepSpec> loaded;
+            std::string serr;
+            if (!loadNamedSpec(name, registry, &loaded, &serr)) {
+                std::fprintf(stderr, "siwi-run: %s\n",
+                             serr.c_str());
+                return exit_usage;
+            }
+            for (SweepSpec &s : loaded)
+                sweeps.push_back(std::move(s));
+        }
     }
     if (have_size) {
         workloads::SizeClass sz;
