@@ -144,7 +144,17 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
 
     // Lockstep cycle loop: within a cycle, SM order fixes the
     // order of shared-backend requests, which keeps multi-SM
-    // timing deterministic.
+    // timing deterministic. With cycle skipping each SM keeps its
+    // own wake: an SM whose step was quiet is not stepped again
+    // before its nextWake() (re-stepping it earlier provably
+    // changes nothing, and nothing outside it can wake it — the
+    // backend is passive and the CTA source is polled only when
+    // the SM has a free slot), and it catches up with skipTo()
+    // just before its next step. SMs that do step still step in
+    // index order, so backend request order and CTA hand-out are
+    // those of stepping every SM every cycle. When no SM made
+    // progress the chip jumps to the earliest wake.
+    std::vector<Cycle> wake(sms.size(), 0);
     Cycle cycle = 0;
     bool hit_limit = false;
     for (;;) {
@@ -163,33 +173,31 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
             break;
         }
         bool progress = false;
-        for (auto &sm : sms) {
-            if (!sm->done())
-                progress |= sm->step();
+        for (size_t i = 0; i < sms.size(); ++i) {
+            pipeline::SM &sm = *sms[i];
+            if (sm.done() || wake[i] > cycle)
+                continue;
+            if (sm.now() < cycle)
+                sm.skipTo(cycle);
+            bool p = sm.step();
+            progress |= p;
+            wake[i] = p || !lc.cycle_skip ? cycle + 1 : sm.nextWake();
         }
         ++cycle;
         if (lc.cycle_skip && !progress) {
-            // Every live SM is asleep: jump the whole chip to the
-            // minimum wake bound across them, which preserves the
-            // lockstep (all live SM clocks stay equal to the chip
-            // cycle; done SMs keep their frozen clocks, exactly as
-            // when they simply stop being stepped). The shared
-            // backend's own wake bounds (per-slice MSHR issue and
-            // fill boundaries) flow in through each SM's
-            // MemorySystem::nextWake, which queries the backend.
-            Cycle wake = lc.max_cycles;
-            for (const auto &sm : sms) {
-                if (!sm->done())
-                    wake = std::min(wake, sm->nextWake());
+            Cycle next = lc.max_cycles;
+            for (size_t i = 0; i < sms.size(); ++i) {
+                if (!sms[i]->done())
+                    next = std::min(next, wake[i]);
             }
-            if (wake > cycle) {
-                for (auto &sm : sms) {
-                    if (!sm->done())
-                        sm->skipTo(wake);
-                }
-                cycle = wake;
-            }
+            cycle = std::max(cycle, next);
         }
+    }
+    // A timeout leaves sleeping SMs behind the chip clock; bring
+    // every live SM to it, as if it had been stepped throughout.
+    for (auto &sm : sms) {
+        if (!sm->done() && sm->now() < cycle)
+            sm->skipTo(cycle);
     }
 
     std::vector<SimStats> per_sm;

@@ -37,10 +37,11 @@ struct LaunchConfig
     unsigned block_threads = 256;
     Cycle max_cycles = 50'000'000;
     /**
-     * Event-driven cycle skipping: when every warp (of every SM)
-     * is stalled, jump the clock to the earliest next-event bound
-     * instead of stepping empty cycles (see SM::nextWake).
-     * Observationally equivalent — all statistics, including
+     * Event-driven cycle skipping: an SM whose step was quiet is
+     * not stepped again until its own next-event bound (see
+     * SM::nextWake), and when no SM of the chip made progress the
+     * clock jumps to the earliest bound instead of stepping empty
+     * cycles. Observationally equivalent — all statistics, including
      * cycle counts and timeout detection, are bit-identical to
      * per-cycle stepping — so it defaults on; turn it off to
      * cross-check (siwi-run --no-skip, and the stepping-
@@ -134,9 +135,11 @@ class Gpu
 
     /**
      * Cycles fast-forwarded by event-driven skipping during the
-     * most recent launch, summed over SMs. Diagnostic only (not
-     * part of SimStats, which stays bit-identical across stepping
-     * modes); zero when the launch ran with cycle_skip off.
+     * most recent launch, summed over SMs: every cycle an SM slept
+     * through to its own wake counts, also while other SMs of the
+     * chip kept stepping. Diagnostic only (not part of SimStats,
+     * which stays bit-identical across stepping modes); zero when
+     * the launch ran with cycle_skip off.
      */
     u64 skippedCycles() const { return skipped_cycles_; }
 

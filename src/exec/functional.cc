@@ -115,6 +115,13 @@ aluLane(const Instruction &inst, const WarpState &warp, unsigned lane)
     }
 }
 
+/** Byte address lane @p lane of memory instruction @p inst touches. */
+Addr
+laneAddr(const Instruction &inst, const WarpState &warp, unsigned lane)
+{
+    return Addr(warp.reg(lane, inst.sa)) + Addr(i64(inst.imm));
+}
+
 } // namespace
 
 void
@@ -157,32 +164,31 @@ evalBranch(const Instruction &inst, const WarpState &warp,
     }
 }
 
-std::vector<MemRequest>
+void
 memAddresses(const Instruction &inst, const WarpState &warp,
-             LaneMask mask)
+             LaneMask mask, std::vector<mem::LaneAccess> &out)
 {
     siwi_assert(isa::isMemory(inst.op), "memAddresses: not a mem op");
-    std::vector<MemRequest> out;
-    out.reserve(mask.count());
+    out.clear();
     for (unsigned lane = 0; lane < warp.width(); ++lane) {
-        if (!mask.test(lane))
-            continue;
-        Addr a = Addr(warp.reg(lane, inst.sa)) + Addr(i64(inst.imm));
-        out.push_back({lane, a});
+        if (mask.test(lane))
+            out.push_back({lane, laneAddr(inst, warp, lane)});
     }
-    return out;
 }
 
 void
 executeMem(const Instruction &inst, WarpState &warp, LaneMask mask,
            mem::MemoryImage &memory)
 {
-    for (const MemRequest &req : memAddresses(inst, warp, mask)) {
-        if (inst.op == Opcode::LD) {
-            warp.setReg(req.lane, inst.dst, memory.read32(req.addr));
-        } else {
-            memory.write32(req.addr, warp.reg(req.lane, inst.sb));
-        }
+    siwi_assert(isa::isMemory(inst.op), "executeMem: not a mem op");
+    for (unsigned lane = 0; lane < warp.width(); ++lane) {
+        if (!mask.test(lane))
+            continue;
+        Addr addr = laneAddr(inst, warp, lane);
+        if (inst.op == Opcode::LD)
+            warp.setReg(lane, inst.dst, memory.read32(addr));
+        else
+            memory.write32(addr, warp.reg(lane, inst.sb));
     }
 }
 

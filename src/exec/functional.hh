@@ -18,16 +18,10 @@
 #include "common/lane_mask.hh"
 #include "exec/warp_state.hh"
 #include "isa/instruction.hh"
+#include "mem/coalescer.hh"
 #include "mem/memory_image.hh"
 
 namespace siwi::exec {
-
-/** One lane's memory request. */
-struct MemRequest
-{
-    unsigned lane;
-    Addr addr;
-};
 
 /**
  * Execute an ALU/SFU instruction for every lane in @p mask.
@@ -45,11 +39,11 @@ LaneMask evalBranch(const isa::Instruction &inst, const WarpState &warp,
 
 /**
  * Per-lane addresses of a memory instruction for lanes in @p mask,
- * in ascending lane order.
+ * in ascending lane order, into @p out (cleared first; the caller
+ * reuses it across calls).
  */
-std::vector<MemRequest> memAddresses(const isa::Instruction &inst,
-                                     const WarpState &warp,
-                                     LaneMask mask);
+void memAddresses(const isa::Instruction &inst, const WarpState &warp,
+                  LaneMask mask, std::vector<mem::LaneAccess> &out);
 
 /**
  * Functionally perform a load or store for lanes in @p mask against

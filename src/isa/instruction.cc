@@ -6,43 +6,44 @@
 
 namespace siwi::isa {
 
-std::vector<RegIdx>
-Instruction::srcRegs() const
+unsigned
+Instruction::srcFields() const
 {
-    std::vector<RegIdx> regs;
+    const unsigned b = b_is_imm ? 0u : unsigned(SrcB);
     switch (opInfo(op).form) {
       case OperandForm::None:
       case OperandForm::DstImm:
       case OperandForm::DstSreg:
       case OperandForm::Bra:
       case OperandForm::Sync:
-        break;
+        return 0;
       case OperandForm::DstSa:
-        regs.push_back(sa);
-        break;
-      case OperandForm::DstSaSb:
-        regs.push_back(sa);
-        if (!b_is_imm)
-            regs.push_back(sb);
-        break;
-      case OperandForm::DstSaSbSc:
-        regs.push_back(sa);
-        if (!b_is_imm)
-            regs.push_back(sb);
-        regs.push_back(sc);
-        break;
       case OperandForm::Load:
-        regs.push_back(sa);
-        break;
-      case OperandForm::Store:
-        regs.push_back(sa);
-        regs.push_back(sb);
-        break;
       case OperandForm::CondBra:
-        regs.push_back(sa);
-        break;
+        return SrcA;
+      case OperandForm::DstSaSb:
+        return SrcA | b;
+      case OperandForm::DstSaSbSc:
+        return SrcA | b | SrcC;
+      case OperandForm::Store:
+        return SrcA | SrcB;
     }
-    return regs;
+    return 0;
+}
+
+u64
+Instruction::srcMask() const
+{
+    static_assert(num_arch_regs <= 64, "register mask is one u64");
+    const unsigned fields = srcFields();
+    u64 mask = 0;
+    if (fields & SrcA)
+        mask |= u64(1) << sa;
+    if (fields & SrcB)
+        mask |= u64(1) << sb;
+    if (fields & SrcC)
+        mask |= u64(1) << sc;
+    return mask;
 }
 
 std::string

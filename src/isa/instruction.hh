@@ -7,7 +7,6 @@
 #define SIWI_ISA_INSTRUCTION_HH
 
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "isa/opcode.hh"
@@ -51,8 +50,24 @@ struct Instruction
     /** True when a destination register is written. */
     bool writesDst() const { return opInfo(op).writes_dst; }
 
-    /** Source registers actually read, for scoreboard comparison. */
-    std::vector<RegIdx> srcRegs() const;
+    /** Operand fields named by srcFields(). */
+    enum SrcField : unsigned { SrcA = 1u, SrcB = 2u, SrcC = 4u };
+
+    /**
+     * Source operand fields actually read (a set of SrcField
+     * bits), decoded from opInfo(op).form and b_is_imm. The one
+     * description of operand decode: srcMask() and the validator
+     * derive from it.
+     */
+    unsigned srcFields() const;
+
+    /**
+     * Source registers actually read, as a bit set (bit r set when
+     * register r is read), for scoreboard comparison. Allocation
+     * -free. @pre every read register is below num_arch_regs
+     * (Program::validate checks this).
+     */
+    u64 srcMask() const;
 
     /** Render in the assembler syntax (without label prefix). */
     std::string toString() const;

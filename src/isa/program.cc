@@ -7,6 +7,25 @@
 
 namespace siwi::isa {
 
+namespace {
+
+/** One past the highest source register @p inst reads (0: none). */
+unsigned
+srcRegsEnd(const Instruction &inst)
+{
+    const unsigned fields = inst.srcFields();
+    unsigned end = 0;
+    if (fields & Instruction::SrcA)
+        end = std::max(end, unsigned(inst.sa) + 1);
+    if (fields & Instruction::SrcB)
+        end = std::max(end, unsigned(inst.sb) + 1);
+    if (fields & Instruction::SrcC)
+        end = std::max(end, unsigned(inst.sc) + 1);
+    return end;
+}
+
+} // namespace
+
 const Instruction &
 Program::at(Pc pc) const
 {
@@ -35,8 +54,7 @@ Program::regsUsed() const
     for (const auto &inst : code_) {
         if (inst.writesDst())
             hi = std::max(hi, unsigned(inst.dst) + 1);
-        for (RegIdx r : inst.srcRegs())
-            hi = std::max(hi, unsigned(r) + 1);
+        hi = std::max(hi, srcRegsEnd(inst));
     }
     return hi;
 }
@@ -70,11 +88,9 @@ Program::validate() const
             err << "pc " << pc << ": dst register out of range";
             return err.str();
         }
-        for (RegIdx r : inst.srcRegs()) {
-            if (r >= num_arch_regs) {
-                err << "pc " << pc << ": src register out of range";
-                return err.str();
-            }
+        if (srcRegsEnd(inst) > num_arch_regs) {
+            err << "pc " << pc << ": src register out of range";
+            return err.str();
         }
         if (inst.op == Opcode::EXIT)
             has_exit = true;

@@ -122,6 +122,8 @@ BankedL2::installCompleted(Slice &sl, Cycle now)
     for (auto it = sl.inflight.begin(); it != sl.inflight.end();) {
         if (it->second.fill <= now) {
             sl.tags.fill(it->first);
+            bounds_.erase(bounds_.find(it->second.start));
+            bounds_.erase(bounds_.find(it->second.fill));
             it = sl.inflight.erase(it);
         } else {
             ++it;
@@ -188,6 +190,8 @@ BankedL2::read(Cycle now, Addr block, u32 bytes, unsigned port)
     }
     Cycle fill = ch.serve(start + cfg_.hit_latency, bytes);
     sl.inflight[block] = {start, fill};
+    bounds_.insert(start);
+    bounds_.insert(fill);
     return fill + noc_.response_latency;
 }
 
@@ -217,6 +221,7 @@ BankedL2::invalidate()
         sl.tags.invalidateAll();
         sl.inflight.clear();
     }
+    bounds_.clear();
 }
 
 Cycle
@@ -225,20 +230,11 @@ BankedL2::nextWake(Cycle now) const
     // The MSHR files are the one autonomous timed structure here:
     // occupancy rises at each queued request's channel-issue cycle
     // (start) and falls at its fill; fills also flip future
-    // lookups of that block to hits. Entries entirely in the past
-    // are inert — they only wait for the lazy install sweep, which
-    // any future call performs with identical effect — so they
-    // contribute no wake.
-    Cycle wake = no_wake;
-    for (const Slice &sl : slices_) {
-        for (const auto &[blk, m] : sl.inflight) {
-            if (m.start > now)
-                wake = std::min(wake, m.start);
-            if (m.fill > now)
-                wake = std::min(wake, m.fill);
-        }
-    }
-    return wake;
+    // lookups of that block to hits. Bounds at or before @p now
+    // are inert — their entries only wait for the lazy install
+    // sweep, which any future call performs with identical effect.
+    auto it = bounds_.upper_bound(now);
+    return it == bounds_.end() ? no_wake : *it;
 }
 
 unsigned
@@ -248,6 +244,18 @@ BankedL2::sliceMshrOccupancy(u32 s, Cycle now) const
     for (const auto &[blk, m] : slices_[s].inflight)
         busy += m.start <= now && now < m.fill;
     return busy;
+}
+
+std::vector<BankedL2::Miss>
+BankedL2::inflightMisses() const
+{
+    std::vector<Miss> out;
+    out.reserve(bounds_.size() / 2);
+    for (const Slice &sl : slices_) {
+        for (const auto &[blk, m] : sl.inflight)
+            out.push_back(m);
+    }
+    return out;
 }
 
 const DramStats &

@@ -25,8 +25,13 @@
  * deterministic and event-driven cycle skipping stays exact. The
  * one piece of autonomous timed state, the per-slice MSHR files
  * (pending fills and queued-but-unissued channel requests), is
- * reported through nextWake() so the skipping chip loop never
- * sleeps past a state change.
+ * reported through nextWake(): the start and fill cycle of every
+ * in-flight miss sit in one ordered multiset, so the bound is a
+ * single upper_bound. Each SM folds it into its own wake through
+ * MemorySystem::nextWake when it goes quiet. Because the backend
+ * is passive, a request another SM makes later cannot wake a
+ * sleeping SM: the chip loop keeps a wake per SM and never needs
+ * to revisit it (core/gpu.hh).
  *
  * Arbitration: within a lockstep cycle SMs are stepped in index
  * order, so same-cycle requests reach a slice in port order — a
@@ -47,6 +52,7 @@
 #define SIWI_MEM_BANKED_L2_HH
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "mem/backend.hh"
@@ -155,9 +161,6 @@ class BankedL2 final : public MemoryBackend
      */
     unsigned sliceMshrOccupancy(u32 s, Cycle now) const;
 
-    const L2Config &config() const { return cfg_; }
-
-  private:
     /** One in-flight slice miss: slot held over [start, fill). */
     struct Miss
     {
@@ -165,6 +168,15 @@ class BankedL2 final : public MemoryBackend
         Cycle fill = 0;  //!< fill (tag install) cycle
     };
 
+    /**
+     * Every in-flight miss of every slice, including fills that
+     * completed but await the lazy install sweep (test hook).
+     */
+    std::vector<Miss> inflightMisses() const;
+
+    const L2Config &config() const { return cfg_; }
+
+  private:
     struct Slice
     {
         L1Cache tags;
@@ -194,6 +206,12 @@ class BankedL2 final : public MemoryBackend
     std::vector<Dram> channels_;
     std::vector<Port> ports_;
     L2Stats totals_;
+    /**
+     * The start and fill cycle of every in-flight miss of every
+     * slice (kept in step with Slice::inflight): nextWake() is one
+     * upper_bound instead of a scan of the MSHR files.
+     */
+    std::multiset<Cycle> bounds_;
     /** Scratch for the MSHR-full slot search (reused). */
     std::vector<Cycle> pending_scratch_;
     /** Channel aggregate, refreshed by dramStats(). */

@@ -5,13 +5,14 @@
 
 namespace siwi::mem {
 
-std::vector<Transaction>
-coalesce(const std::vector<LaneAccess> &accesses, unsigned block_bytes)
+void
+coalesce(const std::vector<LaneAccess> &accesses, unsigned block_bytes,
+         std::vector<Transaction> &txns)
 {
     siwi_assert(isPow2(block_bytes), "block size must be power of 2");
     const Addr mask = ~Addr(block_bytes - 1);
 
-    std::vector<Transaction> txns;
+    txns.clear();
     for (const LaneAccess &acc : accesses) {
         Addr block = acc.addr & mask;
         bool merged = false;
@@ -25,7 +26,6 @@ coalesce(const std::vector<LaneAccess> &accesses, unsigned block_bytes)
         if (!merged)
             txns.push_back({block, LaneMask::lane(acc.lane)});
     }
-    return txns;
 }
 
 } // namespace siwi::mem

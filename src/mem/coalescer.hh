@@ -25,7 +25,7 @@ struct Transaction
     LaneMask lanes; //!< lanes served by this transaction
 };
 
-/** A single lane's access, as produced by exec::memAddresses. */
+/** A single lane's byte access, as produced by exec::memAddresses. */
 struct LaneAccess
 {
     unsigned lane;
@@ -40,9 +40,10 @@ struct LaneAccess
  *
  * @param accesses per-lane byte addresses (active lanes only)
  * @param block_bytes transaction size (128 in the paper)
+ * @param txns output, cleared first (the caller reuses it)
  */
-std::vector<Transaction> coalesce(
-    const std::vector<LaneAccess> &accesses, unsigned block_bytes);
+void coalesce(const std::vector<LaneAccess> &accesses,
+              unsigned block_bytes, std::vector<Transaction> &txns);
 
 } // namespace siwi::mem
 

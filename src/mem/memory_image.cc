@@ -18,17 +18,47 @@ wordIndex(Addr addr)
 
 } // namespace
 
+const MemoryImage::Page *
+MemoryImage::findPage(Addr number) const
+{
+    if (cached_page_ && cached_number_ == number)
+        return cached_page_;
+    auto it = pages_.find(number);
+    if (it == pages_.end())
+        return nullptr;
+    // The map is only mutated through non-const members, so the
+    // cached pointer may be writable.
+    cached_number_ = number;
+    cached_page_ = const_cast<Page *>(&it->second);
+    return cached_page_;
+}
+
 u32
 MemoryImage::read32(Addr addr) const
 {
-    auto it = words_.find(wordIndex(addr));
-    return it == words_.end() ? 0 : it->second;
+    Addr word = wordIndex(addr);
+    const Page *page = findPage(word / page_words);
+    return page ? (*page)[word % page_words] : 0;
 }
 
 void
 MemoryImage::write32(Addr addr, u32 value)
 {
-    words_[wordIndex(addr)] = value;
+    Addr word = wordIndex(addr);
+    Addr number = word / page_words;
+    if (!findPage(number)) {
+        // A new page is value-initialized: all zero.
+        cached_number_ = number;
+        cached_page_ = &pages_.try_emplace(number).first->second;
+    }
+    (*cached_page_)[word % page_words] = value;
+}
+
+void
+MemoryImage::clear()
+{
+    pages_.clear();
+    cached_page_ = nullptr;
 }
 
 float

@@ -6,7 +6,8 @@
 #ifndef SIWI_MEM_MEMORY_IMAGE_HH
 #define SIWI_MEM_MEMORY_IMAGE_HH
 
-#include <unordered_map>
+#include <array>
+#include <map>
 #include <vector>
 
 #include "common/types.hh"
@@ -14,15 +15,22 @@
 namespace siwi::mem {
 
 /**
- * Sparse, word-granular memory image.
+ * Sparse, paged memory image.
  *
  * The ISA only issues naturally-aligned 4-byte accesses, so the
- * image stores 32-bit words keyed by word index. Unwritten memory
- * reads as zero, which workloads rely on for output buffers.
+ * image stores 32-bit words in fixed-size, zero-filled pages that
+ * are allocated on first write and kept in an ordered page table.
+ * A one-page lookup cache serves the streaming accesses workloads
+ * and the LSU make; reads update it, so an image must not be read
+ * from two threads at once. Unwritten memory reads as zero, which
+ * workloads rely on for output buffers.
  */
 class MemoryImage
 {
   public:
+    /** Words per page (4 KiB pages). */
+    static constexpr Addr page_words = 1024;
+
     /** Read a 32-bit word at 4-byte-aligned address @p addr. */
     u32 read32(Addr addr) const;
 
@@ -40,13 +48,20 @@ class MemoryImage
     std::vector<u32> readWords(Addr base, size_t count) const;
     std::vector<float> readFloats(Addr base, size_t count) const;
 
-    /** Number of words ever written (for tests). */
-    size_t wordsWritten() const { return words_.size(); }
-
-    void clear() { words_.clear(); }
+    /** Forget every write: all memory reads as zero again. */
+    void clear();
 
   private:
-    std::unordered_map<Addr, u32> words_;
+    using Page = std::array<u32, page_words>;
+
+    /** Page @p number, or null when nothing was written there. */
+    const Page *findPage(Addr number) const;
+
+    /** Page number -> page (map nodes keep pages in place). */
+    std::map<Addr, Page> pages_;
+    /** Lookup cache: the last page found, or null. */
+    mutable Addr cached_number_ = 0;
+    mutable Page *cached_page_ = nullptr;
 };
 
 } // namespace siwi::mem

@@ -27,12 +27,16 @@ MemorySystem::MemorySystem(const MemConfig &cfg,
 void
 MemorySystem::tick(Cycle now)
 {
+    if (earliest_fill_ > now)
+        return;
     // Fill lines whose backend response has arrived.
+    earliest_fill_ = no_wake;
     for (auto it = inflight_.begin(); it != inflight_.end();) {
         if (it->second.fill <= now) {
             l1_.fill(it->first);
             it = inflight_.erase(it);
         } else {
+            earliest_fill_ = std::min(earliest_fill_, it->second.fill);
             ++it;
         }
     }
@@ -46,8 +50,8 @@ MemorySystem::nextWake(Cycle now) const
     // in that same cycle — so the wake is the fill cycle itself.
     // Overdue fills (possible only if tick was not called every
     // cycle) retire at the very next tick, hence the clamp to now.
-    for (const auto &[blk, m] : inflight_)
-        wake = std::min(wake, std::max(m.fill, now));
+    if (earliest_fill_ != no_wake)
+        wake = std::min(wake, std::max(earliest_fill_, now));
     return wake;
 }
 
@@ -58,6 +62,16 @@ MemorySystem::mshrOccupancy(Cycle now) const
     for (const auto &[blk, m] : inflight_)
         busy += m.start <= now && now < m.fill;
     return busy;
+}
+
+std::vector<MemorySystem::Miss>
+MemorySystem::inflightMisses() const
+{
+    std::vector<Miss> out;
+    out.reserve(inflight_.size());
+    for (const auto &[blk, m] : inflight_)
+        out.push_back(m);
+    return out;
 }
 
 Cycle
@@ -114,6 +128,7 @@ MemorySystem::load(Cycle now, Addr block)
     Cycle fill = backend_->read(start, block,
                                 l1_.config().block_bytes, port_);
     inflight_[block] = {start, fill};
+    earliest_fill_ = std::min(earliest_fill_, fill);
     siwi_assert(mshrOccupancy(start) <= cfg_.mshrs,
                 "MSHR over-admission");
     return fill + l1_.config().hit_latency;
@@ -174,6 +189,7 @@ MemorySystem::invalidate(Cycle now)
         drainWriteBuf(now, e);
     l1_.invalidateAll();
     inflight_.clear();
+    earliest_fill_ = no_wake;
 }
 
 } // namespace siwi::mem

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "mem/backend.hh"
 #include "mem/cache.hh"
@@ -116,6 +117,16 @@ class MemorySystem
      */
     unsigned mshrOccupancy(Cycle now) const;
 
+    /** One in-flight miss: slot held over [start, fill). */
+    struct Miss
+    {
+        Cycle start = 0; //!< backend request issue cycle
+        Cycle fill = 0;  //!< fill-completion cycle
+    };
+
+    /** Every in-flight miss, by block address (test hook). */
+    std::vector<Miss> inflightMisses() const;
+
     /** True when this system owns a private (non-shared) backend. */
     bool ownsBackend() const { return owned_backend_ != nullptr; }
 
@@ -138,13 +149,6 @@ class MemorySystem
 
     void drainWriteBuf(Cycle now, WriteBufEntry &e);
 
-    /** One in-flight miss: slot held over [start, fill). */
-    struct Miss
-    {
-        Cycle start = 0; //!< backend request issue cycle
-        Cycle fill = 0;  //!< fill-completion cycle
-    };
-
     MemConfig cfg_;
     L1Cache l1_;
     std::unique_ptr<DramBackend> owned_backend_;
@@ -152,6 +156,8 @@ class MemorySystem
     unsigned port_ = 0; //!< interconnect port on a shared backend
     /** In-flight missed blocks. */
     std::map<Addr, Miss> inflight_;
+    /** Minimum fill over inflight_ (no_wake when it is empty). */
+    Cycle earliest_fill_ = no_wake;
     /** Reused buffer for the MSHR-full slot search in load(). */
     std::vector<Cycle> pending_scratch_;
     std::vector<WriteBufEntry> wbuf_;

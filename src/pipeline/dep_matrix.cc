@@ -124,14 +124,11 @@ DepMatrixScoreboard::conflicts(const isa::Instruction &inst,
                                unsigned slot) const
 {
     siwi_assert(slot < DepMatrix::dim, "bad issue slot");
+    u64 regs = inst.srcMask();
+    if (inst.writesDst())
+        regs |= u64(1) << inst.dst;
     for (const Entry &e : entries_) {
-        if (!e.valid || !e.matrix.get(e.slot, slot))
-            continue;
-        for (RegIdx src : inst.srcRegs()) {
-            if (src == e.dst)
-                return true;
-        }
-        if (inst.writesDst() && inst.dst == e.dst)
+        if (e.valid && e.matrix.get(e.slot, slot) && (regs >> e.dst) & 1)
             return true;
     }
     return false;

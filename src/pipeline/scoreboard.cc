@@ -70,17 +70,14 @@ bool
 Scoreboard::conflicts(WarpId w, const isa::Instruction &inst,
                       LaneMask mask) const
 {
+    // RAW: a source reads an in-flight destination. WAW: a double
+    // write with undefined completion order.
+    u64 regs = inst.srcMask();
+    if (inst.writesDst())
+        regs |= u64(1) << inst.dst;
     for (unsigned i = 0; i < entries_per_warp_; ++i) {
         const Entry &e = entry(w, i);
-        if (!e.valid || !e.mask.intersects(mask))
-            continue;
-        // RAW: a source reads an in-flight destination.
-        for (RegIdx src : inst.srcRegs()) {
-            if (src == e.dst)
-                return true;
-        }
-        // WAW: double write with undefined completion order.
-        if (inst.writesDst() && inst.dst == e.dst)
+        if (e.valid && e.mask.intersects(mask) && (regs >> e.dst) & 1)
             return true;
     }
     return false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "common/bits.hh"
 #include "common/log.hh"
@@ -133,7 +134,8 @@ SM::step()
     // Under a chip CTA scheduler, poll for work every cycle: slots
     // may be free while other SMs still drain the grid. Taking a
     // CTA — or discovering the grid just ran dry, which flips
-    // done() — is progress.
+    // done() — is progress, and the source is polled only when a
+    // slot is free, so a quiet SM never depends on the source.
     if (cta_source_ && !cta_source_dry_) {
         u64 blocks_before = stats_.blocks_launched;
         launchBlocks();
@@ -197,7 +199,7 @@ SM::nextWake() const
 {
     Cycle wake = no_wake;
     if (!events_.empty())
-        wake = std::min(wake, events_.begin()->first);
+        wake = std::min(wake, events_.front().when);
     for (const ExecGroup &g : groups_) {
         // canAccept(c) is c >= busyUntil(), so a group that was
         // busy during the just-stepped cycle (busyUntil == now_)
@@ -430,7 +432,8 @@ SM::launchBlocks()
             return;
 
         // Find enough free warp slots.
-        std::vector<WarpId> free_warps;
+        std::vector<WarpId> &free_warps = free_warps_;
+        free_warps.clear();
         for (WarpId w = 0; w < warps_.size(); ++w) {
             if (!warps_[w].active)
                 free_warps.push_back(w);
@@ -717,12 +720,9 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
     WarpSlot &ws = warps_[w];
     const Instruction &inst = e.inst;
 
-    auto reqs = exec::memAddresses(inst, *ws.state, cv.mask);
-    std::vector<mem::LaneAccess> accesses;
-    accesses.reserve(reqs.size());
-    for (const auto &r : reqs)
-        accesses.push_back({r.lane, r.addr});
-    auto txns = mem::coalesce(accesses, cfg_.mem.l1.block_bytes);
+    exec::memAddresses(inst, *ws.state, cv.mask, lane_accesses_);
+    mem::coalesce(lane_accesses_, cfg_.mem.l1.block_bytes, txns_);
+    const std::vector<mem::Transaction> &txns = txns_;
     siwi_assert(!txns.empty(), "memory op with no transactions");
 
     Cycle base = when + cfg_.delivery_latency;
@@ -744,7 +744,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
             ev.kind = Event::Kind::Writeback;
             ev.warp = w;
             ev.sb_entry = int(idx);
-            events_.insert({data, ev});
+            schedule(data, ev);
         } else {
             memsys_.store(base, t.block, t.lanes.count() * 4);
         }
@@ -779,7 +779,7 @@ SM::issueMemory(WarpId w, const IBufEntry &e, const CtxView &cv,
         ev.kind = Event::Kind::Writeback;
         ev.warp = w;
         ev.sb_entry = int(idx);
-        events_.insert({last_data, ev});
+        schedule(last_data, ev);
     }
     advanceCtx(w, cv.id, e.pc + 1);
     *occupancy = unsigned(txns.size());
@@ -840,8 +840,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
         ev.mask = cv.mask;
         ev.taken = taken;
         ev.pc = e.pc;
-        events_.insert(
-            {when + cfg_.delivery_latency + cfg_.exec_latency, ev});
+        schedule(when + cfg_.delivery_latency + cfg_.exec_latency, ev);
         break;
       }
 
@@ -855,8 +854,7 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
         ev.warp = w;
         ev.ctx_id = cv.id;
         ev.mask = cv.mask;
-        events_.insert(
-            {when + cfg_.delivery_latency + cfg_.exec_latency, ev});
+        schedule(when + cfg_.delivery_latency + cfg_.exec_latency, ev);
         break;
       }
 
@@ -879,9 +877,9 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
             ev.kind = Event::Kind::Writeback;
             ev.warp = w;
             ev.sb_entry = int(idx);
-            events_.insert({when + cfg_.delivery_latency +
-                                cfg_.exec_latency + (occupancy - 1),
-                            ev});
+            schedule(when + cfg_.delivery_latency + cfg_.exec_latency +
+                         (occupancy - 1),
+                     ev);
         }
         break;
       }
@@ -932,13 +930,21 @@ SM::issueCand(WarpId w, unsigned slot, bool secondary,
 // events
 // ----------------------------------------------------------------
 
+void
+SM::schedule(Cycle when, const Event &ev)
+{
+    events_.push_back({when, event_seq_++, ev});
+    std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+}
+
 bool
 SM::processEvents()
 {
     bool fired = false;
-    while (!events_.empty() && events_.begin()->first <= now_) {
-        Event ev = events_.begin()->second;
-        events_.erase(events_.begin());
+    while (!events_.empty() && events_.front().when <= now_) {
+        std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
+        Event ev = events_.back().ev;
+        events_.pop_back();
         fired = true;
         // Every event can unblock its warp (scoreboard release,
         // branch/exit resolution mutate schedulability), so the
@@ -973,8 +979,7 @@ SM::resolveBranch(const Event &ev)
         if (ws.last_divergence == now_ || !ws.heap->canSplit()) {
             if (!ws.heap->canSplit())
                 stats_.heap_full_stalls += 1;
-            Event retry = ev;
-            events_.insert({now_ + 1, retry});
+            schedule(now_ + 1, ev);
             return;
         }
     }

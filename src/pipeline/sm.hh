@@ -21,7 +21,6 @@
 #define SIWI_PIPELINE_SM_HH
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -33,6 +32,7 @@
 #include "exec/warp_state.hh"
 #include "frontend/front_end.hh"
 #include "isa/program.hh"
+#include "mem/coalescer.hh"
 #include "mem/memory_image.hh"
 #include "mem/memory_system.hh"
 #include "pipeline/config.hh"
@@ -267,6 +267,20 @@ class SM final : public frontend::FrontEndHost
         Pc pc = invalid_pc;
     };
 
+    /** An Event due at @ref when; @ref seq orders same-cycle events. */
+    struct TimedEvent
+    {
+        Cycle when;
+        u64 seq;
+        Event ev;
+
+        /** Fires after @p o (the heap order of SM::events_). */
+        bool operator>(const TimedEvent &o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+
     // ------------------------------------------------------------
     // FrontEndHost interface (the scheduling view of this SM)
     // ------------------------------------------------------------
@@ -299,6 +313,8 @@ class SM final : public frontend::FrontEndHost
     // ------------------------------------------------------------
     // pipeline stages
     // ------------------------------------------------------------
+    /** Queue @p ev to fire at @p when, after any queued same-cycle event. */
+    void schedule(Cycle when, const Event &ev);
     bool processEvents();
     bool heapMaintenance();
     void fetchStage();
@@ -371,7 +387,13 @@ class SM final : public frontend::FrontEndHost
     Scoreboard sb_;
     std::vector<ExecGroup> groups_;
 
-    std::multimap<Cycle, Event> events_;
+    /**
+     * Pending events: a binary min-heap on (when, seq). The
+     * sequence number makes same-cycle events fire in the order
+     * they were scheduled.
+     */
+    std::vector<TimedEvent> events_;
+    u64 event_seq_ = 0;
     frontend::PrimaryIssueInfo last_primary_; //!< issued this cycle
     std::unique_ptr<frontend::FrontEnd> frontend_;
 
@@ -379,6 +401,11 @@ class SM final : public frontend::FrontEndHost
     u64 skipped_cycles_ = 0;
     u64 fetch_seq_ = 1;
     std::vector<WarpId> fe_rr_; //!< per-front-end round-robin cursor
+
+    // --- reused per-issue scratch (issueMemory, launchBlocks) ---
+    std::vector<mem::LaneAccess> lane_accesses_;
+    std::vector<mem::Transaction> txns_;
+    std::vector<WarpId> free_warps_;
 
     // --- per-warp sleep/wake state ---
     WarpSet awake_;  //!< active, schedulable warps (the hot-loop domain)

@@ -295,7 +295,9 @@ TEST_F(Functional, MemAddressesAndLoadStore)
     for (unsigned l = 0; l < 4; ++l)
         EXPECT_EQ(warp.reg(l, 3), 100 + l);
 
-    auto reqs = memAddresses(ld, warp, LaneMask(0b0110));
+    // The output is cleared first: a stale entry must not survive.
+    std::vector<mem::LaneAccess> reqs = {{7, 0x7000}};
+    memAddresses(ld, warp, LaneMask(0b0110), reqs);
     ASSERT_EQ(reqs.size(), 2u);
     EXPECT_EQ(reqs[0].lane, 1u);
     EXPECT_EQ(reqs[0].addr, 0x100cu);

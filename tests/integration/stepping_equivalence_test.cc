@@ -24,11 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "../bench_spec.hh"
 #include "common/rng.hh"
+#include "core/gpu.hh"
+#include "isa/assembler.hh"
 #include "pipeline/config_io.hh"
 #include "pipeline/sm.hh"
 #include "runner/runner.hh"
@@ -97,8 +100,8 @@ TEST(SteppingEquivalence, FastSuiteCells)
 
 /**
  * Multi-SM chips take the lockstep skip path in Gpu::launchChip
- * (min wake across live SMs) rather than SM::run; cover it on
- * every pipeline mode.
+ * (a wake per SM) rather than SM::run; cover it on every pipeline
+ * mode.
  */
 TEST(SteppingEquivalence, MultiSmChips)
 {
@@ -116,6 +119,116 @@ TEST(SteppingEquivalence, MultiSmChips)
                          std::string("4-SM chip mode ") +
                              pipeline::pipelineModeName(mode));
     }
+}
+
+/**
+ * The 16-SM banked chip of bench/specs/scaling.json (the
+ * fig_scaling_banked sweep, its `set` block included), where
+ * Gpu::launchChip keeps one wake per SM: a mostly asleep workload
+ * (Transpose) and a busy one (ConvolutionSeparable). Full size,
+ * because a Tiny grid is a single CTA and would leave 15 of the 16
+ * SMs idle from the first cycle.
+ */
+TEST(SteppingEquivalence, BankedChip16Sm)
+{
+    std::vector<SweepSpec> sweeps =
+        test::benchSpec("scaling", SizeClass::Full);
+    auto sweep = std::find_if(
+        sweeps.begin(), sweeps.end(), [](const SweepSpec &s) {
+            return s.name == "fig_scaling_banked";
+        });
+    ASSERT_NE(sweep, sweeps.end());
+    auto machine = std::find_if(
+        sweep->machines.begin(), sweep->machines.end(),
+        [](const runner::MachineSpec &m) {
+            return m.name == "SBI+SWI";
+        });
+    ASSERT_NE(machine, sweep->machines.end());
+    auto sms = std::find(sweep->sms.begin(), sweep->sms.end(), 16u);
+    ASSERT_NE(sms, sweep->sms.end());
+    core::GpuConfig chip = runner::resolvedCellConfig(
+        *sweep, size_t(machine - sweep->machines.begin()),
+        size_t(sms - sweep->sms.begin()), 0);
+    ASSERT_EQ(chip.num_sms, 16u);
+    ASSERT_GT(chip.l2.slices, 1u) << "the set block was not applied";
+
+    SleepAuditScope audit;
+    for (const char *name : {"Transpose", "ConvolutionSeparable"}) {
+        const workloads::Workload *wl = workloads::findWorkload(name);
+        ASSERT_NE(wl, nullptr) << name;
+        RunResult skip = workloads::runWorkload(*wl, chip,
+                                                SizeClass::Full,
+                                                /*cycle_skip=*/true);
+        RunResult step = workloads::runWorkload(*wl, chip,
+                                                SizeClass::Full,
+                                                /*cycle_skip=*/false);
+        ASSERT_TRUE(skip.verified) << name << ": " << skip.verify_msg;
+        EXPECT_TRUE(skip.stats == step.stats)
+            << name << ": SimStats differ between skip and no-skip "
+            << "(skip cycles=" << skip.stats.cycles
+            << " step cycles=" << step.stats.cycles << ")";
+        EXPECT_EQ(step.skipped_cycles, 0u) << name;
+        EXPECT_GT(skip.skipped_cycles, 0u)
+            << name << ": no SM ever slept through a quiet stretch";
+    }
+}
+
+/**
+ * Per-SM wakes skip inside a chip that never goes quiet as a
+ * whole. CTA 0 spins in an ALU loop and keeps SM 0 issuing; CTA 1
+ * chases pointers through DRAM and leaves SM 1 asleep between
+ * loads. Alone, the spinning CTA never lets its SM jump, so the
+ * chip as a whole is never quiet: every cycle skipped with both
+ * CTAs is SM 1 sleeping to its own wake while SM 0 steps on.
+ */
+TEST(SteppingEquivalence, PerSmWakesSkipInsideBusyChip)
+{
+    const char *src = R"(
+.kernel spin_and_chase
+    s2r r0, %ctaid
+    bnz r0, chase
+    movi r1, #0
+spin:
+    iadd r1, r1, #1
+    isetlt r2, r1, #400
+    bnz r2, spin
+    exit
+chase:
+    movi r3, #4096
+    ld r3, [r3+0]
+    ld r3, [r3+0]
+    ld r3, [r3+0]
+    ld r3, [r3+0]
+    st [r3+4], r3
+    exit
+)";
+    isa::AsmResult res = isa::assemble(src);
+    ASSERT_TRUE(res.ok()) << res.error;
+    core::Kernel kernel = core::Kernel::compile(res.program);
+
+    SleepAuditScope audit;
+    auto run = [&](unsigned ctas, bool cycle_skip, u64 *skipped) {
+        core::Gpu gpu(core::GpuConfig::make(
+            pipeline::PipelineMode::Baseline, 2));
+        gpu.memory().write32(4096, 4096); // a self-loop to chase
+        core::LaunchConfig lc;
+        lc.grid_blocks = ctas;
+        lc.block_threads = 512;
+        lc.cycle_skip = cycle_skip;
+        core::SimStats st = gpu.launch(kernel, lc);
+        EXPECT_EQ(gpu.memory().read32(4100), ctas > 1 ? 4096u : 0u);
+        *skipped = gpu.skippedCycles();
+        return st;
+    };
+    u64 spin_only = 0, both = 0, stepped = 0;
+    run(1, true, &spin_only);
+    EXPECT_EQ(spin_only, 0u) << "the spinning SM went quiet";
+    core::SimStats skip = run(2, true, &both);
+    core::SimStats step = run(2, false, &stepped);
+    EXPECT_TRUE(skip == step)
+        << "SimStats differ between skip and no-skip";
+    EXPECT_EQ(stepped, 0u);
+    EXPECT_GT(both, 0u) << "the sleeping SM never skipped";
 }
 
 /**

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "isa/instruction.hh"
 
 namespace siwi::isa {
@@ -21,13 +23,21 @@ makeBin(Opcode op, RegIdx d, RegIdx a, RegIdx b)
     return i;
 }
 
+/** Register bit set of @p regs. */
+u64
+regMask(std::initializer_list<RegIdx> regs)
+{
+    u64 m = 0;
+    for (RegIdx r : regs)
+        m |= u64(1) << r;
+    return m;
+}
+
 TEST(Instruction, SrcRegsBinary)
 {
     Instruction i = makeBin(Opcode::IADD, 1, 2, 3);
-    auto srcs = i.srcRegs();
-    ASSERT_EQ(srcs.size(), 2u);
-    EXPECT_EQ(srcs[0], 2);
-    EXPECT_EQ(srcs[1], 3);
+    EXPECT_EQ(i.srcMask(), regMask({2, 3}));
+    EXPECT_EQ(i.srcFields(), Instruction::SrcA | Instruction::SrcB);
 }
 
 TEST(Instruction, SrcRegsImmediateSkipsSb)
@@ -35,9 +45,7 @@ TEST(Instruction, SrcRegsImmediateSkipsSb)
     Instruction i = makeBin(Opcode::IADD, 1, 2, 3);
     i.b_is_imm = true;
     i.imm = 7;
-    auto srcs = i.srcRegs();
-    ASSERT_EQ(srcs.size(), 1u);
-    EXPECT_EQ(srcs[0], 2);
+    EXPECT_EQ(i.srcMask(), regMask({2}));
 }
 
 TEST(Instruction, SrcRegsTernary)
@@ -48,9 +56,7 @@ TEST(Instruction, SrcRegsTernary)
     i.sa = 1;
     i.sb = 2;
     i.sc = 3;
-    auto srcs = i.srcRegs();
-    ASSERT_EQ(srcs.size(), 3u);
-    EXPECT_EQ(srcs[2], 3);
+    EXPECT_EQ(i.srcMask(), regMask({1, 2, 3}));
 }
 
 TEST(Instruction, SrcRegsStore)
@@ -59,8 +65,7 @@ TEST(Instruction, SrcRegsStore)
     i.op = Opcode::ST;
     i.sa = 4;
     i.sb = 5;
-    auto srcs = i.srcRegs();
-    ASSERT_EQ(srcs.size(), 2u);
+    EXPECT_EQ(i.srcMask(), regMask({4, 5}));
 }
 
 TEST(Instruction, SrcRegsCondBranch)
@@ -69,18 +74,16 @@ TEST(Instruction, SrcRegsCondBranch)
     i.op = Opcode::BNZ;
     i.sa = 9;
     i.target = 0;
-    auto srcs = i.srcRegs();
-    ASSERT_EQ(srcs.size(), 1u);
-    EXPECT_EQ(srcs[0], 9);
+    EXPECT_EQ(i.srcMask(), regMask({9}));
 }
 
 TEST(Instruction, SrcRegsNone)
 {
     Instruction i;
     i.op = Opcode::BAR;
-    EXPECT_TRUE(i.srcRegs().empty());
+    EXPECT_EQ(i.srcMask(), 0u);
     i.op = Opcode::MOVI;
-    EXPECT_TRUE(i.srcRegs().empty());
+    EXPECT_EQ(i.srcMask(), 0u);
 }
 
 TEST(Instruction, ToStringForms)

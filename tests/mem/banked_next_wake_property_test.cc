@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -146,6 +147,81 @@ TEST(BankedNextWakeProperty, LazyTickMatchesEagerTick)
             EXPECT_EQ(eager_l2.sliceStats(s),
                       lazy_l2.sliceStats(s))
                 << "round " << round << " slice " << s;
+    }
+}
+
+/**
+ * The reference bound: BankedL2::nextWake as a scan of every
+ * slice's in-flight misses (the implementation before the ordered
+ * multiset of start and fill cycles).
+ */
+Cycle
+scanBankedWake(const BankedL2 &l2, Cycle now)
+{
+    Cycle wake = no_wake;
+    for (const BankedL2::Miss &m : l2.inflightMisses()) {
+        if (m.start > now)
+            wake = std::min(wake, m.start);
+        if (m.fill > now)
+            wake = std::min(wake, m.fill);
+    }
+    return wake;
+}
+
+/** MemorySystem::nextWake over a banked backend, as a scan. */
+Cycle
+scanSystemWake(const MemorySystem &sys, const BankedL2 &l2,
+               Cycle now)
+{
+    Cycle wake = scanBankedWake(l2, now);
+    for (const MemorySystem::Miss &m : sys.inflightMisses())
+        wake = std::min(wake, std::max(m.fill, now));
+    return wake;
+}
+
+/**
+ * Both bounds equal their scans exactly on every cycle of random
+ * multi-port traffic, including after an invalidate.
+ */
+TEST(BankedNextWakeProperty, NextWakeEqualsInflightScan)
+{
+    Rng rng(6);
+    for (int round = 0; round < 50; ++round) {
+        ChipConfig cfg = randomConfig(rng);
+        const unsigned ports = 1 + rng.below(3);
+        BankedL2 l2(cfg.l2, cfg.dram, cfg.noc, ports);
+        std::vector<std::unique_ptr<MemorySystem>> sms;
+        for (unsigned p = 0; p < ports; ++p)
+            sms.push_back(
+                std::make_unique<MemorySystem>(cfg.mem, l2, p));
+        std::vector<Req> reqs = randomStream(
+            rng, 60, 2000 + rng.below(2000));
+
+        size_t next = 0;
+        const Cycle horizon = reqs.back().when + 3000;
+        for (Cycle c = 0; c < horizon; ++c) {
+            for (auto &sys : sms)
+                sys->tick(c);
+            ASSERT_EQ(l2.nextWake(c), scanBankedWake(l2, c))
+                << "round " << round << " cycle " << c;
+            for (const auto &sys : sms) {
+                ASSERT_EQ(sys->nextWake(c),
+                          scanSystemWake(*sys, l2, c))
+                    << "round " << round << " cycle " << c;
+            }
+            while (next < reqs.size() && reqs[next].when == c) {
+                const Req &r = reqs[next++];
+                MemorySystem &sys = *sms[next % ports];
+                if (r.is_load)
+                    sys.load(c, r.block);
+                else
+                    sys.store(c, r.block, 128);
+            }
+            if (c == horizon / 2) {
+                l2.invalidate();
+                ASSERT_EQ(l2.nextWake(c), no_wake);
+            }
+        }
     }
 }
 

@@ -10,6 +10,15 @@
 namespace siwi::mem {
 namespace {
 
+/** coalesce() into a fresh vector. */
+std::vector<Transaction>
+coalesced(const std::vector<LaneAccess> &accesses, unsigned block_bytes)
+{
+    std::vector<Transaction> txns;
+    coalesce(accesses, block_bytes, txns);
+    return txns;
+}
+
 std::vector<LaneAccess>
 unitStride(unsigned lanes, Addr base)
 {
@@ -21,7 +30,7 @@ unitStride(unsigned lanes, Addr base)
 
 TEST(Coalescer, FullyCoalescedWarp32)
 {
-    auto txns = coalesce(unitStride(32, 0x1000), 128);
+    auto txns = coalesced(unitStride(32, 0x1000), 128);
     ASSERT_EQ(txns.size(), 1u);
     EXPECT_EQ(txns[0].block, 0x1000u);
     EXPECT_EQ(txns[0].lanes.count(), 32u);
@@ -29,7 +38,7 @@ TEST(Coalescer, FullyCoalescedWarp32)
 
 TEST(Coalescer, Warp64UnitStrideIsTwoTransactions)
 {
-    auto txns = coalesce(unitStride(64, 0x1000), 128);
+    auto txns = coalesced(unitStride(64, 0x1000), 128);
     ASSERT_EQ(txns.size(), 2u);
     EXPECT_EQ(txns[0].block, 0x1000u);
     EXPECT_EQ(txns[1].block, 0x1080u);
@@ -39,7 +48,7 @@ TEST(Coalescer, Warp64UnitStrideIsTwoTransactions)
 
 TEST(Coalescer, MisalignedStraddlesTwoBlocks)
 {
-    auto txns = coalesce(unitStride(32, 0x1040), 128);
+    auto txns = coalesced(unitStride(32, 0x1040), 128);
     ASSERT_EQ(txns.size(), 2u);
     EXPECT_EQ(txns[0].block, 0x1000u);
     EXPECT_EQ(txns[1].block, 0x1080u);
@@ -50,7 +59,7 @@ TEST(Coalescer, BroadcastSingleTransaction)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 32; ++l)
         v.push_back({l, 0x2000});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     ASSERT_EQ(txns.size(), 1u);
     EXPECT_EQ(txns[0].lanes.count(), 32u);
 }
@@ -61,7 +70,7 @@ TEST(Coalescer, StridedWorstCase)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 32; ++l)
         v.push_back({l, Addr(l) * 128});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     EXPECT_EQ(txns.size(), 32u);
 }
 
@@ -69,7 +78,7 @@ TEST(Coalescer, TransactionsInFirstLaneOrder)
 {
     std::vector<LaneAccess> v = {
         {0, 0x3080}, {1, 0x3000}, {2, 0x3080}, {3, 0x3000}};
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     ASSERT_EQ(txns.size(), 2u);
     EXPECT_EQ(txns[0].block, 0x3080u); // first touched
     EXPECT_EQ(txns[0].lanes.bits(), 0b0101u);
@@ -78,7 +87,18 @@ TEST(Coalescer, TransactionsInFirstLaneOrder)
 
 TEST(Coalescer, EmptyInput)
 {
-    EXPECT_TRUE(coalesce({}, 128).empty());
+    EXPECT_TRUE(coalesced({}, 128).empty());
+}
+
+TEST(Coalescer, ReusedOutputIsCleared)
+{
+    std::vector<Transaction> txns;
+    coalesce(unitStride(64, 0x1000), 128, txns);
+    ASSERT_EQ(txns.size(), 2u);
+    coalesce(unitStride(4, 0x2000), 128, txns);
+    ASSERT_EQ(txns.size(), 1u);
+    EXPECT_EQ(txns[0].block, 0x2000u);
+    EXPECT_EQ(txns[0].lanes.bits(), 0b1111u);
 }
 
 TEST(Coalescer, LanesPartitionAcrossTransactions)
@@ -87,7 +107,7 @@ TEST(Coalescer, LanesPartitionAcrossTransactions)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 48; ++l)
         v.push_back({l, Addr(l % 7) * 64});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     LaneMask all;
     unsigned total = 0;
     for (const auto &t : txns) {
@@ -111,7 +131,7 @@ TEST_P(CoalescerStride, TransactionCountMatchesStride)
     std::vector<LaneAccess> v;
     for (unsigned l = 0; l < 32; ++l)
         v.push_back({l, Addr(l) * stride_words * 4});
-    auto txns = coalesce(v, 128);
+    auto txns = coalesced(v, 128);
     unsigned span_bytes = 32 * stride_words * 4;
     unsigned expect = (span_bytes + 127) / 128;
     EXPECT_EQ(txns.size(), std::max(1u, expect));

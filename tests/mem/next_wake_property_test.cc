@@ -115,6 +115,66 @@ TEST(MemNextWakeProperty, LazyTickMatchesEagerTick)
 }
 
 /**
+ * The reference bound: MemorySystem::nextWake as a scan of the
+ * in-flight misses (the implementation before the earliest fill
+ * was cached), over the backend's own bound.
+ */
+Cycle
+scanNextWake(const MemorySystem &sys, const MemoryBackend &backend,
+             Cycle now)
+{
+    Cycle wake = backend.nextWake(now);
+    for (const MemorySystem::Miss &m : sys.inflightMisses())
+        wake = std::min(wake, std::max(m.fill, now));
+    return wake;
+}
+
+/**
+ * The cached bound equals the scan exactly, on every cycle of
+ * random traffic, whether the system ticks every cycle or only at
+ * its reported wakes.
+ */
+TEST(MemNextWakeProperty, NextWakeEqualsInflightScan)
+{
+    Rng rng(5);
+    for (int round = 0; round < 50; ++round) {
+        MemConfig cfg = randomConfig(rng);
+        DramBackend eager_dram(cfg.dram);
+        DramBackend lazy_dram(cfg.dram);
+        MemorySystem eager(cfg, eager_dram);
+        MemorySystem lazy(cfg, lazy_dram);
+        std::vector<Req> reqs = randomStream(
+            rng, 40, 2000 + rng.below(2000));
+
+        size_t next = 0;
+        const Cycle horizon = reqs.back().when + 3000;
+        for (Cycle c = 0; c < horizon; ++c) {
+            eager.tick(c);
+            if (lazy.nextWake(c) <= c)
+                lazy.tick(c);
+            ASSERT_EQ(eager.nextWake(c),
+                      scanNextWake(eager, eager_dram, c))
+                << "round " << round << " cycle " << c;
+            ASSERT_EQ(lazy.nextWake(c),
+                      scanNextWake(lazy, lazy_dram, c))
+                << "round " << round << " cycle " << c;
+            while (next < reqs.size() && reqs[next].when == c) {
+                const Req &r = reqs[next++];
+                for (MemorySystem *sys : {&eager, &lazy}) {
+                    if (r.is_load)
+                        sys->load(c, r.block);
+                    else
+                        sys->store(c, r.block, 128);
+                }
+            }
+        }
+        lazy.invalidate(horizon);
+        EXPECT_EQ(lazy.nextWake(horizon),
+                  scanNextWake(lazy, lazy_dram, horizon));
+    }
+}
+
+/**
  * The bound is never late: after arbitrary traffic, nothing
  * observable may change on any cycle strictly before nextWake().
  * The wake chain must also make strict progress (each tick at a
