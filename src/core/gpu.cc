@@ -1,6 +1,7 @@
 #include "core/gpu.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/bits.hh"
 #include "common/log.hh"
@@ -19,8 +20,6 @@ GpuConfig::make(const pipeline::SMConfig &sm, unsigned num_sms)
     GpuConfig cfg;
     cfg.sm = sm;
     cfg.num_sms = num_sms;
-    cfg.shared_backend = num_sms > 1;
-    cfg.dram = sm.mem.dram;
     // One channel for the whole chip: bandwidth grows with the SM
     // count but tops out at 4x the paper's per-SM 10 GB/s, so
     // larger chips start contending for it.
@@ -36,35 +35,27 @@ GpuConfig::checkInvariants() const
         return sm_err;
     if (num_sms < 1)
         return "num_sms must be at least 1";
-    if (num_sms > 1 && !shared_backend)
-        return "a multi-SM chip requires the shared backend";
-    if (shared_backend) {
-        if (l2.block_bytes != sm.mem.l1.block_bytes)
-            return "l2_block_bytes must match l1_block_bytes";
-        // The shared L2 reuses the set-associative tag array, so
-        // mirror its constructor asserts too.
-        u32 l2_blocks = l2.size_bytes / l2.block_bytes;
-        if (l2.ways < 1 || l2_blocks < l2.ways ||
-            l2_blocks % l2.ways != 0)
-            return "l2_size_bytes must be a whole number of "
-                   "sets (a multiple of l2_ways * "
-                   "l2_block_bytes)";
-        if (dram.bytes_per_cycle_x10 < 1)
-            return "chip dram_bytes_per_cycle_x10 must be at "
-                   "least 1";
-        // Banked topology: the interleaving hashes XOR-fold
-        // power-of-two digits, and each slice must own a whole
-        // number of sets of the shared capacity.
-        if (!isPow2(l2.slices))
-            return "l2_slices must be a nonzero power of two";
-        u32 l2_sets = l2_blocks / l2.ways;
-        if (l2_sets % l2.slices != 0)
-            return "l2_slices must divide the shared L2 set "
-                   "count (l2_size_bytes / l2_block_bytes / "
-                   "l2_ways)";
-        if (!isPow2(dram.channels))
-            return "dram_channels must be a nonzero power of two";
-    }
+    if (l2.block_bytes != sm.mem.l1.block_bytes)
+        return "l2_block_bytes must match l1_block_bytes";
+    // The shared L2 reuses the set-associative tag array, so
+    // mirror its constructor asserts too.
+    u32 l2_blocks = l2.size_bytes / l2.block_bytes;
+    if (l2.ways < 1 || l2_blocks < l2.ways || l2_blocks % l2.ways != 0)
+        return "l2_size_bytes must be a whole number of sets (a "
+               "multiple of l2_ways * l2_block_bytes)";
+    if (dram.bytes_per_cycle_x10 < 1)
+        return "dram_bytes_per_cycle_x10 must be at least 1";
+    // Banked topology: the interleaving hashes XOR-fold
+    // power-of-two digits, and each slice must own a whole number
+    // of sets of the shared capacity.
+    if (!isPow2(l2.slices))
+        return "l2_slices must be a nonzero power of two";
+    u32 l2_sets = l2_blocks / l2.ways;
+    if (l2_sets % l2.slices != 0)
+        return "l2_slices must divide the shared L2 set count "
+               "(l2_size_bytes / l2_block_bytes / l2_ways)";
+    if (!isPow2(dram.channels))
+        return "dram_channels must be a nonzero power of two";
     return {};
 }
 
@@ -75,10 +66,8 @@ GpuConfig::validate() const
     siwi_assert(err.empty(), err);
 }
 
-Gpu::Gpu(const pipeline::SMConfig &cfg)
+Gpu::Gpu(const pipeline::SMConfig &cfg) : Gpu(GpuConfig::make(cfg, 1))
 {
-    cfg_.sm = cfg;
-    cfg_.validate();
 }
 
 Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
@@ -97,33 +86,30 @@ Gpu::launchTraced(const Kernel &kernel, const LaunchConfig &lc,
                   pipeline::SM::TraceHook hook)
 {
     skipped_cycles_ = 0;
-    if (cfg_.num_sms == 1 && !cfg_.shared_backend) {
-        // The paper's single-SM setup: private DRAM channel,
-        // self-assigned CTAs.
-        pipeline::SM sm(cfg_.sm, memory_);
-        if (hook)
-            sm.setTraceHook(std::move(hook));
-        sm.launch(kernel.program(), lc.grid_blocks,
-                  lc.block_threads);
-        SimStats stats = sm.run(lc.max_cycles, lc.cycle_skip);
-        skipped_cycles_ = sm.skippedCycles();
-        return stats;
-    }
-    return launchChip(kernel, lc, hook);
-}
+    const bool chip = cfg_.num_sms > 1;
 
-SimStats
-Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
-                const pipeline::SM::TraceHook &hook)
-{
-    mem::BankedL2 backend(cfg_.l2, cfg_.dram, cfg_.noc,
-                          cfg_.num_sms);
+    // The memory below the L1s. One SM has the paper's private
+    // channel: the DRAM bandwidth and latency, nothing else of the
+    // chip topology. A chip shares the banked L2.
+    std::optional<mem::DramBackend> channel;
+    std::optional<mem::BankedL2> banked;
+    mem::MemoryBackend *backend;
+    if (chip) {
+        backend = &banked.emplace(cfg_.l2, cfg_.dram, cfg_.noc,
+                                  cfg_.num_sms);
+    } else {
+        mem::DramConfig ch;
+        ch.bytes_per_cycle_x10 = cfg_.dram.bytes_per_cycle_x10;
+        ch.latency_cycles = cfg_.dram.latency_cycles;
+        backend = &channel.emplace(ch);
+    }
 
     // Chip-level CTA scheduler: a shared cursor over the grid.
     // Every SM pulls at most one CTA per cycle and SMs are stepped
     // in index order, so the initial distribution is round-robin
     // and each retirement hands the next pending CTA to the SM
-    // that freed a slot ("round-robin-on-retire").
+    // that freed a slot ("round-robin-on-retire"). A lone SM
+    // assigns its own CTAs.
     unsigned next_cta = 0;
     auto source = [&next_cta, grid = lc.grid_blocks]() -> int {
         return next_cta < grid ? int(next_cta++) : -1;
@@ -133,10 +119,11 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
     sms.reserve(cfg_.num_sms);
     for (unsigned i = 0; i < cfg_.num_sms; ++i) {
         auto sm = std::make_unique<pipeline::SM>(cfg_.sm, memory_,
-                                                 &backend, i);
+                                                 *backend, i);
         if (hook)
             sm->setTraceHook(hook);
-        sm->setCtaSource(source);
+        if (chip)
+            sm->setCtaSource(source);
         sm->launch(kernel.program(), lc.grid_blocks,
                    lc.block_threads);
         sms.push_back(std::move(sm));
@@ -168,7 +155,7 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
         if (all_done)
             break;
         if (cycle >= lc.max_cycles) {
-            warn("chip cycle limit hit at ", cycle);
+            warn("cycle limit hit at ", cycle);
             hit_limit = true;
             break;
         }
@@ -207,22 +194,31 @@ Gpu::launchChip(const Kernel &kernel, const LaunchConfig &lc,
         skipped_cycles_ += sm->skippedCycles();
     }
 
+    if (!chip) {
+        // One SM's result is its own statistics, with the DRAM
+        // traffic of its private channel.
+        SimStats st = std::move(per_sm.front());
+        st.timed_out = hit_limit;
+        st.dram_transactions = channel->dramStats().transactions;
+        st.dram_bytes = channel->dramStats().bytes;
+        return st;
+    }
     SimStats agg = SimStats::aggregate(per_sm);
-    agg.timed_out |= hit_limit;
+    agg.timed_out = hit_limit;
     // Chip-level backend counters: reported once, from the shared
     // backend itself (per-SM stats keep them zero), with the
-    // schema-v5 per-slice/channel/port breakdowns alongside the
-    // scalar totals.
-    agg.l2_hits = backend.stats().hits;
-    agg.l2_misses = backend.stats().misses;
-    agg.dram_transactions = backend.dramStats().transactions;
-    agg.dram_bytes = backend.dramStats().bytes;
-    for (u32 s = 0; s < backend.numSlices(); ++s)
-        agg.l2_slices.push_back(backend.sliceStats(s));
-    for (u32 c = 0; c < backend.numChannels(); ++c)
-        agg.dram_channels.push_back(backend.channelStats(c));
-    for (unsigned p = 0; p < backend.numPorts(); ++p)
-        agg.noc_ports.push_back(backend.portStats(p));
+    // per-slice/channel/port breakdowns alongside the scalar
+    // totals.
+    agg.l2_hits = banked->stats().hits;
+    agg.l2_misses = banked->stats().misses;
+    agg.dram_transactions = banked->dramStats().transactions;
+    agg.dram_bytes = banked->dramStats().bytes;
+    for (u32 s = 0; s < banked->numSlices(); ++s)
+        agg.l2_slices.push_back(banked->sliceStats(s));
+    for (u32 c = 0; c < banked->numChannels(); ++c)
+        agg.dram_channels.push_back(banked->channelStats(c));
+    for (unsigned p = 0; p < banked->numPorts(); ++p)
+        agg.noc_ports.push_back(banked->portStats(p));
     return agg;
 }
 

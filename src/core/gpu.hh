@@ -2,17 +2,20 @@
  * @file
  * Gpu: the top-level public entry point of the library.
  *
- * One Gpu = one chip: `num_sms` SM instances behind a chip-level
- * CTA scheduler, plus a global memory image shared across launches.
- * The paper simulates a single SM with a private DRAM channel, and
- * that remains the default (`Gpu(SMConfig)`); a multi-SM GpuConfig
- * puts per-SM private L1s/write buffers in front of the banked
- * chip memory system (mem/banked_l2.hh): an SM<->L2 interconnect,
- * address-interleaved L2 slices, and multi-channel DRAM the SMs
- * contend for (one slice/one channel by default, which matches
- * the legacy monolithic model bit-identically). Each launch runs
- * a grid to completion on freshly initialized pipelines and
- * returns its statistics (with per-SM breakdowns on a chip).
+ * One Gpu = one chip: `num_sms` SM instances plus a global memory
+ * image shared across launches. Every launch, one SM included,
+ * runs the same lockstep cycle loop over a memory backend the
+ * launch builds from GpuConfig and lends to each SM. The paper
+ * simulates a single SM with a private DRAM channel, and that
+ * remains the default (`Gpu(SMConfig)`): one SM gets a DramBackend
+ * with the bandwidth and latency of GpuConfig::dram and assigns
+ * its own CTAs. A multi-SM chip puts the per-SM L1s/write buffers
+ * in front of the banked chip memory system (mem/banked_l2.hh): an
+ * SM<->L2 interconnect, address-interleaved L2 slices, and
+ * multi-channel DRAM the SMs contend for, with CTAs handed out by a
+ * chip-level scheduler. Each launch runs a grid to completion on
+ * freshly initialized pipelines and returns its statistics (with
+ * per-SM breakdowns on a chip).
  */
 
 #ifndef SIWI_CORE_GPU_HH
@@ -59,23 +62,18 @@ struct GpuConfig
     pipeline::SMConfig sm;
     unsigned num_sms = 1;
 
+    mem::L2Config l2; //!< shared L2 geometry/timing/slicing
     /**
-     * Route SM misses through the chip-shared L2 + single DRAM
-     * channel instead of a private per-SM DRAM channel. Multi-SM
-     * chips require this (it is what they contend on); single-SM
-     * configs default to the paper's private-channel methodology
-     * so `num_sms = 1` reproduces the single-SM numbers.
+     * The DRAM below the L2 slices. One SM uses only its bandwidth
+     * and latency, as the paper's private channel.
      */
-    bool shared_backend = false;
-
-    mem::L2Config l2;     //!< shared L2 geometry/timing/slicing
-    mem::DramConfig dram; //!< chip DRAM channels (shared path)
-    mem::NocConfig noc;   //!< SM<->L2 interconnect (shared path)
+    mem::DramConfig dram;
+    mem::NocConfig noc; //!< SM<->L2 interconnect
 
     /**
      * Canonical chip for a pipeline mode: SMConfig::make(mode)
-     * replicated @p num_sms times. The chip DRAM channel scales
-     * the paper's per-SM 10 GB/s linearly up to 4 SMs and then
+     * replicated @p num_sms times. The DRAM channel scales the
+     * paper's per-SM 10 GB/s linearly up to 4 SMs and then
      * saturates, so the 8-SM point exposes bandwidth contention.
      */
     static GpuConfig make(pipeline::PipelineMode mode,
@@ -88,8 +86,9 @@ struct GpuConfig
     /**
      * Check invariants without stopping: empty string when
      * consistent, else a diagnostic (covers the nested SM config
-     * too). The non-fatal path serves user-supplied spec and
-     * machine files.
+     * too). Every chip field is checked at every SM count, also
+     * those a 1-SM launch does not use. The non-fatal path serves
+     * user-supplied spec and machine files.
      */
     std::string checkInvariants() const;
 
@@ -112,7 +111,7 @@ class Gpu
     /** Single SM with a private DRAM channel (paper setup). */
     explicit Gpu(const pipeline::SMConfig &cfg);
 
-    /** Full chip: @p cfg.num_sms SMs, optionally sharing L2+DRAM. */
+    /** Full chip: @p cfg.num_sms SMs (see the file comment). */
     explicit Gpu(const GpuConfig &cfg);
 
     /** Global memory, for host-side setup and result readback. */
@@ -144,9 +143,6 @@ class Gpu
     u64 skippedCycles() const { return skipped_cycles_; }
 
   private:
-    SimStats launchChip(const Kernel &kernel, const LaunchConfig &lc,
-                        const pipeline::SM::TraceHook &hook);
-
     GpuConfig cfg_;
     mem::MemoryImage memory_;
     u64 skipped_cycles_ = 0;

@@ -3,14 +3,14 @@
  * Memory backend below the per-SM L1s.
  *
  * A MemoryBackend is whatever sits behind an SM's private L1 and
- * write buffer: either a private DRAM channel (the paper's
- * single-SM methodology, DramBackend), a chip-level shared L2 in
- * front of one DRAM channel (SharedL2, the legacy multi-SM
- * configuration), or the banked chip memory system (BankedL2, see
- * mem/banked_l2.hh) with address-interleaved L2 slices,
- * multi-channel DRAM and a contended SM<->L2 interconnect.
- * MemorySystem owns a private DramBackend unless the chip injects
- * a shared one.
+ * write buffer. core::Gpu::launch builds one per launch and lends
+ * it to every SM's MemorySystem: a private DRAM channel for one SM
+ * (the paper's single-SM methodology, DramBackend), or the banked
+ * chip memory system for several (BankedL2, see mem/banked_l2.hh)
+ * with address-interleaved L2 slices, multi-channel DRAM and a
+ * contended SM<->L2 interconnect. SharedL2, a monolithic L2 in
+ * front of one DRAM channel, is kept only as the reference model
+ * BankedL2's default topology is tested against.
  */
 
 #ifndef SIWI_MEM_BACKEND_HH

@@ -25,9 +25,9 @@ struct DramConfig
      * Independent DRAM channels behind the chip's L2 slices, each
      * with the bandwidth/latency/queue parameters above (so total
      * chip bandwidth is channels * bytes_per_cycle_x10). Only
-     * chip-level backends honor this; a per-SM private channel is
-     * always exactly one. Must be a power of two (the
-     * channel-interleaving hash XOR-folds address digits).
+     * BankedL2 reads it; a Dram is one channel. Must be a power
+     * of two (the channel-interleaving hash XOR-folds address
+     * digits).
      */
     u32 channels = 1;
     /**

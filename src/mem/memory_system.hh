@@ -1,27 +1,29 @@
 /**
  * @file
- * Timing glue between the LSU and the L1 / backend models.
+ * Timing glue between the LSU and the L1 / backend models. The
+ * backend below the L1 is always the caller's: core::Gpu builds
+ * one per launch (a private DRAM channel for one SM, the banked L2
+ * for a chip) and lends it to every SM.
  */
 
 #ifndef SIWI_MEM_MEMORY_SYSTEM_HH
 #define SIWI_MEM_MEMORY_SYSTEM_HH
 
 #include <map>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "mem/backend.hh"
 #include "mem/cache.hh"
-#include "mem/dram.hh"
 
 namespace siwi::mem {
 
-/** Combined memory-system parameters (Table 2 of the paper). */
+/**
+ * Per-SM memory parameters (Table 2 of the paper). The DRAM below
+ * is a chip parameter (core::GpuConfig::dram).
+ */
 struct MemConfig
 {
     CacheConfig l1;
-    DramConfig dram;
     u32 mshrs = 64; //!< max in-flight missed blocks (>= 1)
     /**
      * Write-combining buffer entries for the write-through store
@@ -50,21 +52,15 @@ struct MemStats
  * single L1 port. Loads probe the L1; misses allocate an MSHR and go
  * to the backend, with same-block misses merged. Stores are
  * write-through no-allocate and only consume backend bandwidth.
- *
- * The backend is a private DRAM channel by default (the paper's
- * single-SM methodology); a multi-SM chip injects its shared
- * L2+DRAM backend instead, in which case backend statistics are
- * chip-level and reported by the chip, not per SM.
+ * Backend statistics belong to the backend's owner, not to this
+ * system.
  */
 class MemorySystem
 {
   public:
-    /** Private backend: one DRAM channel from @p cfg.dram. */
-    explicit MemorySystem(const MemConfig &cfg);
-
     /**
-     * Shared backend injected by the chip (not owned); @p port is
-     * this SM's interconnect port on it (the SM index).
+     * @p backend is not owned; @p port is this SM's interconnect
+     * port on it (the SM index).
      */
     MemorySystem(const MemConfig &cfg, MemoryBackend &backend,
                  unsigned port = 0);
@@ -127,15 +123,8 @@ class MemorySystem
     /** Every in-flight miss, by block address (test hook). */
     std::vector<Miss> inflightMisses() const;
 
-    /** True when this system owns a private (non-shared) backend. */
-    bool ownsBackend() const { return owned_backend_ != nullptr; }
-
     const MemStats &stats() const { return stats_; }
     const CacheStats &cacheStats() const { return l1_.stats(); }
-    const DramStats &dramStats() const
-    {
-        return backend_->dramStats();
-    }
     const MemConfig &config() const { return cfg_; }
 
   private:
@@ -151,9 +140,8 @@ class MemorySystem
 
     MemConfig cfg_;
     L1Cache l1_;
-    std::unique_ptr<DramBackend> owned_backend_;
     MemoryBackend *backend_;
-    unsigned port_ = 0; //!< interconnect port on a shared backend
+    unsigned port_ = 0; //!< interconnect port on the backend
     /** In-flight missed blocks. */
     std::map<Addr, Miss> inflight_;
     /** Minimum fill over inflight_ (no_wake when it is empty). */

@@ -39,11 +39,10 @@ SM::setSleepAudit(bool on)
 }
 
 SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
-       mem::MemoryBackend *backend, unsigned port)
+       mem::MemoryBackend &backend, unsigned port)
     : cfg_(cfg),
       memory_(memory),
-      memsys_(backend ? mem::MemorySystem(cfg.mem, *backend, port)
-                      : mem::MemorySystem(cfg.mem)),
+      memsys_(cfg.mem, backend, port),
       warps_(cfg.num_warps),
       blocks_(cfg.max_blocks_resident),
       ibuf_(cfg.num_warps, 2),
@@ -99,31 +98,6 @@ SM::done() const
             return false;
     }
     return true;
-}
-
-core::SimStats
-SM::run(Cycle max_cycles, bool cycle_skip)
-{
-    while (!done()) {
-        if (now_ >= max_cycles) {
-            warn("SM cycle limit hit at ", now_);
-            stats_.timed_out = true;
-            break;
-        }
-        bool progress = step();
-        if (cycle_skip && !progress) {
-            // Everything is stalled: jump straight to the next
-            // event. Clamping to max_cycles keeps the timeout path
-            // (and its cycles counter) identical to per-cycle
-            // stepping; the wake can equal now_ (an event due this
-            // very cycle), in which case there is nothing to skip.
-            Cycle wake = std::min(nextWake(), max_cycles);
-            if (wake > now_)
-                skipTo(wake);
-        }
-    }
-    finalizeStats();
-    return stats_;
 }
 
 bool
@@ -1254,13 +1228,6 @@ SM::finalizeStats()
     stats_.write_forwards = memsys_.stats().write_forwards;
     stats_.mshr_merges = memsys_.stats().mshr_merges;
     stats_.mshr_stalls = memsys_.stats().mshr_stalls;
-    if (memsys_.ownsBackend()) {
-        // Private channel: the backend traffic is this SM's.
-        // Shared backends are chip-level; the chip reports them
-        // once in its aggregate instead of once per SM.
-        stats_.dram_transactions = memsys_.dramStats().transactions;
-        stats_.dram_bytes = memsys_.dramStats().bytes;
-    }
 
     stats_.units.clear();
     for (const ExecGroup &g : groups_) {

@@ -15,6 +15,10 @@
  * StackFrontEnd or InterweaveFrontEnd built by
  * frontend::makeFrontEnd from the configuration; see
  * src/frontend/front_end.hh).
+ *
+ * The SM has no cycle loop of its own: core::Gpu::launch drives
+ * step()/nextWake()/skipTo() for every SM of a launch, one SM
+ * included, and lends each SM the memory backend below its L1.
  */
 
 #ifndef SIWI_PIPELINE_SM_HH
@@ -71,13 +75,14 @@ class SM final : public frontend::FrontEndHost
 {
   public:
     /**
-     * @param backend chip-shared memory backend; null for a
-     *        private DRAM channel (the paper's single-SM setup)
-     * @param port this SM's interconnect port on a shared backend
-     *        (its SM index); ignored for a private channel
+     * @param backend the memory below this SM's L1 and write
+     *        buffer, owned by the caller (core::Gpu builds one per
+     *        launch and lends it to every SM)
+     * @param port this SM's interconnect port on @p backend (its
+     *        SM index)
      */
     SM(const SMConfig &cfg, mem::MemoryImage &memory,
-       mem::MemoryBackend *backend = nullptr, unsigned port = 0);
+       mem::MemoryBackend &backend, unsigned port = 0);
 
     // The front-end keeps a reference to its host SM.
     SM(const SM &) = delete;
@@ -159,22 +164,13 @@ class SM final : public frontend::FrontEndHost
      */
     u64 skippedCycles() const { return skipped_cycles_; }
 
-    /**
-     * Run to completion (or @p max_cycles) and return statistics.
-     * @param cycle_skip fast-forward over quiet stretches (see
-     *        step()/nextWake()); observationally equivalent to
-     *        per-cycle stepping, bit-identical statistics included
-     */
-    core::SimStats run(Cycle max_cycles = 50'000'000,
-                       bool cycle_skip = true);
-
     Cycle now() const override { return now_; }
     const SMConfig &config() const override { return cfg_; }
 
     using TraceHook = std::function<void(const IssueEvent &)>;
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
 
-    /** Statistics snapshot (finalized by run()). */
+    /** Statistics snapshot (complete after finalizeStats()). */
     core::SimStats &stats() override { return stats_; }
 
     /** The select/issue layer driving this SM. */
@@ -185,10 +181,10 @@ class SM final : public frontend::FrontEndHost
 
     /**
      * Fold warp/cache/unit counters into stats_ and return it.
-     * run() calls this; a chip driving step() itself calls it once
-     * per SM after the lockstep loop finishes. With a shared
-     * backend the chip-level counters (l2_*, dram_*) stay zero
-     * here — the chip fills them into its aggregate.
+     * core::Gpu calls it once per SM after its cycle loop
+     * finishes. The backend counters (l2_*, dram_*) stay zero
+     * here: the backend belongs to the launch, which reports them
+     * once.
      */
     core::SimStats finalizeStats();
 

@@ -34,14 +34,10 @@ machineApplyKeyValue(MachineSpec *m, std::string_view kv,
     if (!chip_key)
         return pipeline::smConfigApplyKeyValue(norm, &m->config,
                                                err);
-    if (key == "num_sms" || key == "shared_backend") {
-        // Appended piecewise: GCC 12 reports a false -Wrestrict
-        // on "literal" + std::string here.
+    if (key == "num_sms") {
         if (err) {
-            *err = std::string("'").append(key).append(
-                "' is not a machine override: the SM count is "
-                "the sweep's sms axis, and the backend choice is "
-                "derived from it");
+            *err = "'num_sms' is not a machine override: the SM "
+                   "count is the sweep's sms axis";
         }
         return false;
     }

@@ -111,20 +111,20 @@ TEST(Kernel, FromProgramSkipsCompilation)
 
 TEST(GpuConfig, MakeBuildsChips)
 {
+    // One SM: the paper's private channel, 10 GB/s and 330 cycles
+    // (Table 2).
     GpuConfig one =
         GpuConfig::make(pipeline::PipelineMode::SBISWI, 1);
     EXPECT_EQ(one.num_sms, 1u);
-    EXPECT_FALSE(one.shared_backend);
-    EXPECT_EQ(one.dram.bytes_per_cycle_x10,
-              one.sm.mem.dram.bytes_per_cycle_x10);
+    EXPECT_EQ(one.dram.bytes_per_cycle_x10, 100u);
+    EXPECT_EQ(one.dram.latency_cycles, 330u);
 
     GpuConfig chip =
         GpuConfig::make(pipeline::PipelineMode::SBISWI, 8);
     EXPECT_EQ(chip.num_sms, 8u);
-    EXPECT_TRUE(chip.shared_backend);
     // The chip channel saturates at 4x the per-SM bandwidth.
     EXPECT_EQ(chip.dram.bytes_per_cycle_x10,
-              4 * chip.sm.mem.dram.bytes_per_cycle_x10);
+              4 * one.dram.bytes_per_cycle_x10);
 }
 
 TEST(Gpu, MultiSmProducesCorrectResults)

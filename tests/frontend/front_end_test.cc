@@ -11,8 +11,10 @@
 
 #include "cfg/compiler.hh"
 #include "common/log.hh"
+#include "core/gpu.hh"
 #include "frontend/front_end.hh"
 #include "isa/builder.hh"
+#include "mem/backend.hh"
 #include "mem/memory_image.hh"
 #include "pipeline/sm.hh"
 #include "workloads/workload.hh"
@@ -54,10 +56,13 @@ core::SimStats
 runConfig(const SMConfig &cfg, const isa::Program &prog,
           unsigned blocks, unsigned threads)
 {
-    mem::MemoryImage mem;
-    SM sm(cfg, mem);
-    sm.launch(prog, blocks, threads);
-    core::SimStats st = sm.run(2'000'000);
+    core::Gpu gpu(cfg);
+    core::LaunchConfig lc;
+    lc.grid_blocks = blocks;
+    lc.block_threads = threads;
+    lc.max_cycles = 2'000'000;
+    core::SimStats st =
+        gpu.launch(core::Kernel::fromProgram(prog), lc);
     EXPECT_FALSE(st.timed_out);
     return st;
 }
@@ -65,8 +70,9 @@ runConfig(const SMConfig &cfg, const isa::Program &prog,
 TEST(FrontEndFactory, DispatchesOnConfiguration)
 {
     mem::MemoryImage mem;
+    mem::DramBackend dram{mem::DramConfig{}};
     {
-        SM sm(SMConfig::make(PipelineMode::Baseline), mem);
+        SM sm(SMConfig::make(PipelineMode::Baseline), mem, dram);
         EXPECT_NE(dynamic_cast<const frontend::StackFrontEnd *>(
                       &sm.frontEnd()),
                   nullptr);
@@ -74,7 +80,7 @@ TEST(FrontEndFactory, DispatchesOnConfiguration)
     for (PipelineMode m : {PipelineMode::Warp64, PipelineMode::SBI,
                            PipelineMode::SWI,
                            PipelineMode::SBISWI}) {
-        SM sm(SMConfig::make(m), mem);
+        SM sm(SMConfig::make(m), mem, dram);
         EXPECT_NE(
             dynamic_cast<const frontend::InterweaveFrontEnd *>(
                 &sm.frontEnd()),

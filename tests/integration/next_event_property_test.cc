@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/kernel.hh"
+#include "mem/backend.hh"
 #include "mem/memory_image.hh"
 #include "pipeline/sm.hh"
 #include "workloads/workload.hh"
@@ -64,7 +65,8 @@ checkWindows(const workloads::Workload &wl,
     // Oracle: per-cycle stepping, one progress bit per cycle.
     mem::MemoryImage oracle_mem;
     wl.init(oracle_mem, SizeClass::Tiny);
-    pipeline::SM oracle(cfg, oracle_mem);
+    mem::DramBackend oracle_dram{mem::DramConfig{}};
+    pipeline::SM oracle(cfg, oracle_mem, oracle_dram);
     oracle.launch(kernel.program(), inst.grid_blocks,
                   inst.block_threads);
     std::vector<char> progressed;
@@ -76,7 +78,8 @@ checkWindows(const workloads::Workload &wl,
     // every skip window must be quiet in the oracle's record.
     mem::MemoryImage skip_mem;
     wl.init(skip_mem, SizeClass::Tiny);
-    pipeline::SM skipper(cfg, skip_mem);
+    mem::DramBackend skip_dram{mem::DramConfig{}};
+    pipeline::SM skipper(cfg, skip_mem, skip_dram);
     skipper.launch(kernel.program(), inst.grid_blocks,
                    inst.block_threads);
     while (!skipper.done() && skipper.now() < limit) {
@@ -99,6 +102,7 @@ checkWindows(const workloads::Workload &wl,
     ASSERT_TRUE(skipper.done());
     EXPECT_EQ(skipper.now(), oracle.now());
     EXPECT_TRUE(skipper.finalizeStats() == oracle.finalizeStats());
+    EXPECT_EQ(skip_dram.dramStats(), oracle_dram.dramStats());
 }
 
 TEST(NextEventProperty, BarrierHeavyAllModes)

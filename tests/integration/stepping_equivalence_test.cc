@@ -29,7 +29,9 @@
 #include <vector>
 
 #include "../bench_spec.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
+#include "core/config_io.hh"
 #include "core/gpu.hh"
 #include "isa/assembler.hh"
 #include "pipeline/config_io.hh"
@@ -52,16 +54,16 @@ struct SleepAuditScope
     ~SleepAuditScope() { pipeline::SM::setSleepAudit(false); }
 };
 
-/** Run one (workload, config) both ways and compare everything. */
+/** Run one (workload, chip) both ways and compare everything. */
 void
 expectEquivalent(const workloads::Workload &wl,
-                 const pipeline::SMConfig &cfg, SizeClass sc,
-                 unsigned num_sms, const std::string &label)
+                 const core::GpuConfig &chip, SizeClass sc,
+                 const std::string &label)
 {
     SleepAuditScope audit;
-    RunResult skip = workloads::runWorkload(wl, cfg, sc, num_sms,
+    RunResult skip = workloads::runWorkload(wl, chip, sc,
                                             /*cycle_skip=*/true);
-    RunResult step = workloads::runWorkload(wl, cfg, sc, num_sms,
+    RunResult step = workloads::runWorkload(wl, chip, sc,
                                             /*cycle_skip=*/false);
     EXPECT_TRUE(skip.stats == step.stats)
         << label << ": SimStats differ between skip and no-skip "
@@ -99,9 +101,8 @@ TEST(SteppingEquivalence, FastSuiteCells)
 }
 
 /**
- * Multi-SM chips take the lockstep skip path in Gpu::launchChip
- * (a wake per SM) rather than SM::run; cover it on every pipeline
- * mode.
+ * Multi-SM chips add the chip CTA source and the banked L2 to the
+ * launch loop's per-SM wakes; cover them on every pipeline mode.
  */
 TEST(SteppingEquivalence, MultiSmChips)
 {
@@ -114,8 +115,8 @@ TEST(SteppingEquivalence, MultiSmChips)
           pipeline::PipelineMode::Warp64,
           pipeline::PipelineMode::SBI, pipeline::PipelineMode::SWI,
           pipeline::PipelineMode::SBISWI}) {
-        pipeline::SMConfig cfg = pipeline::SMConfig::make(mode);
-        expectEquivalent(*wl, cfg, SizeClass::Tiny, 4,
+        expectEquivalent(*wl, core::GpuConfig::make(mode, 4),
+                         SizeClass::Tiny,
                          std::string("4-SM chip mode ") +
                              pipeline::pipelineModeName(mode));
     }
@@ -124,7 +125,7 @@ TEST(SteppingEquivalence, MultiSmChips)
 /**
  * The 16-SM banked chip of bench/specs/scaling.json (the
  * fig_scaling_banked sweep, its `set` block included), where
- * Gpu::launchChip keeps one wake per SM: a mostly asleep workload
+ * Gpu::launch keeps one wake per SM: a mostly asleep workload
  * (Transpose) and a busy one (ConvolutionSeparable). Full size,
  * because a Tiny grid is a single CTA and would leave 15 of the 16
  * SMs idle from the first cycle.
@@ -174,14 +175,13 @@ TEST(SteppingEquivalence, BankedChip16Sm)
 }
 
 /**
- * Per-SM wakes skip inside a chip that never goes quiet as a
- * whole. CTA 0 spins in an ALU loop and keeps SM 0 issuing; CTA 1
- * chases pointers through DRAM and leaves SM 1 asleep between
- * loads. Alone, the spinning CTA never lets its SM jump, so the
- * chip as a whole is never quiet: every cycle skipped with both
- * CTAs is SM 1 sleeping to its own wake while SM 0 steps on.
+ * CTA 0 spins in an ALU loop and keeps its SM issuing; CTA 1
+ * chases pointers through DRAM (a self-loop at 4096, which the
+ * caller writes) and sleeps between loads, then stores the
+ * pointer to 4100.
  */
-TEST(SteppingEquivalence, PerSmWakesSkipInsideBusyChip)
+core::Kernel
+spinAndChase()
 {
     const char *src = R"(
 .kernel spin_and_chase
@@ -203,8 +203,19 @@ chase:
     exit
 )";
     isa::AsmResult res = isa::assemble(src);
-    ASSERT_TRUE(res.ok()) << res.error;
-    core::Kernel kernel = core::Kernel::compile(res.program);
+    EXPECT_TRUE(res.ok()) << res.error;
+    return core::Kernel::compile(res.program);
+}
+
+/**
+ * Per-SM wakes skip inside a chip that never goes quiet as a
+ * whole. Alone, the spinning CTA never lets its SM jump, so the
+ * chip as a whole is never quiet: every cycle skipped with both
+ * CTAs is SM 1 sleeping to its own wake while SM 0 steps on.
+ */
+TEST(SteppingEquivalence, PerSmWakesSkipInsideBusyChip)
+{
+    core::Kernel kernel = spinAndChase();
 
     SleepAuditScope audit;
     auto run = [&](unsigned ctas, bool cycle_skip, u64 *skipped) {
@@ -232,9 +243,49 @@ chase:
 }
 
 /**
+ * The timeout path of the launch loop: the cycle limit falls while
+ * CTA 0 still spins and CTA 1 sleeps on DRAM, so with skipping the
+ * sleeping SM lags the chip clock and must be caught up to it. On
+ * 1, 2 and 4 SMs (on 4, two SMs get no CTA and finish at once)
+ * every run must time out at exactly max_cycles, with statistics
+ * identical to stepping every cycle.
+ */
+TEST(SteppingEquivalence, CycleLimitInBothSteppingModes)
+{
+    core::Kernel kernel = spinAndChase();
+    SleepAuditScope audit;
+    setLogQuiet(true);
+    for (unsigned sms : {1u, 2u, 4u}) {
+        for (Cycle limit : {Cycle(50), Cycle(301), Cycle(777)}) {
+            auto run = [&](bool cycle_skip) {
+                core::Gpu gpu(core::GpuConfig::make(
+                    pipeline::PipelineMode::Baseline, sms));
+                gpu.memory().write32(4096, 4096);
+                core::LaunchConfig lc;
+                lc.grid_blocks = 2;
+                lc.block_threads = 512;
+                lc.max_cycles = limit;
+                lc.cycle_skip = cycle_skip;
+                return gpu.launch(kernel, lc);
+            };
+            core::SimStats skip = run(true);
+            core::SimStats step = run(false);
+            std::string label = std::to_string(sms) + " SM(s), " +
+                                std::to_string(limit) + " cycles";
+            EXPECT_TRUE(skip.timed_out) << label;
+            EXPECT_EQ(skip.cycles, limit) << label;
+            EXPECT_TRUE(skip == step)
+                << label << ": SimStats differ between skip and "
+                << "no-skip";
+        }
+    }
+    setLogQuiet(false);
+}
+
+/**
  * Randomized machine mutations: start from each canonical machine,
  * apply a handful of random config key=value overrides (through
- * the same field table spec files use), keep only configurations
+ * the same field tables spec files use), keep only configurations
  * that pass checkInvariants, and demand stepping equivalence on a
  * barrier-heavy and a divergent workload. This sweeps wake-source
  * corner cases (tiny MSHR counts, deep latencies, small CCTs) that
@@ -275,7 +326,7 @@ TEST(SteppingEquivalence, RandomizedMachines)
     for (int trial = 0; accepted < 12 && trial < 200; ++trial) {
         pipeline::PipelineMode mode = static_cast<
             pipeline::PipelineMode>(rng.below(5));
-        pipeline::SMConfig cfg = pipeline::SMConfig::make(mode);
+        core::GpuConfig chip = core::GpuConfig::make(mode, 1);
         unsigned muts = 1 + unsigned(rng.below(4));
         std::string label = std::string("mode ") +
                             pipeline::pipelineModeName(mode);
@@ -286,17 +337,21 @@ TEST(SteppingEquivalence, RandomizedMachines)
                 kp.values[rng.below(unsigned(kp.values.size()))];
             std::string kv =
                 std::string(kp.key) + "=" + val;
+            // SM keys go to the SM table, the DRAM keys to the
+            // chip's.
             std::string err;
-            if (!pipeline::smConfigApplyKeyValue(kv, &cfg, &err))
+            if (!pipeline::smConfigApplyKeyValue(kv, &chip.sm,
+                                                 &err) &&
+                !core::gpuConfigApplyKeyValue(kv, &chip, &err))
                 continue; // key invalid for this mode: skip it
             label += " " + kv;
         }
-        if (!cfg.checkInvariants().empty())
+        if (!chip.checkInvariants().empty())
             continue;
         ++accepted;
         const workloads::Workload *wl =
             (accepted % 2) ? barrier : divergent;
-        expectEquivalent(*wl, cfg, SizeClass::Tiny, 1,
+        expectEquivalent(*wl, chip, SizeClass::Tiny,
                          label + " on " + wl->name());
     }
     // The acceptance filter must not starve the test.

@@ -366,8 +366,10 @@ TEST(GpuConfigIo, MakeDerivesAValidChip)
         EXPECT_TRUE(c.checkInvariants().empty()) << sms;
         EXPECT_EQ(c.num_sms, sms);
     }
-    GpuConfig c = GpuConfig::make(PipelineMode::SBI, 2);
-    c.shared_backend = false; // multi-SM without shared backend
+    // Chip fields are checked at every SM count, also on one SM,
+    // which does not use the L2.
+    GpuConfig c = GpuConfig::make(PipelineMode::SBI, 1);
+    c.l2.slices = 3;
     EXPECT_FALSE(c.checkInvariants().empty());
 }
 

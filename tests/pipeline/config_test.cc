@@ -67,8 +67,6 @@ TEST(Config, MemoryDefaultsMatchTable2)
     EXPECT_EQ(c.mem.l1.ways, 6u);
     EXPECT_EQ(c.mem.l1.block_bytes, 128u);
     EXPECT_EQ(c.mem.l1.hit_latency, 3u);
-    EXPECT_EQ(c.mem.dram.bytes_per_cycle_x10, 100u); // 10 GB/s
-    EXPECT_EQ(c.mem.dram.latency_cycles, 330u);
 }
 
 TEST(Config, ExecGeometryPreservesLaneBudget)

@@ -10,6 +10,7 @@
 
 #include "../bench_spec.hh"
 #include "common/log.hh"
+#include "core/config_io.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/table.hh"
 
@@ -210,6 +211,60 @@ TEST(Runner, MultiSmCellCarriesLabelAndCount)
     EXPECT_EQ(one.machine, "SBI");
     EXPECT_EQ(one.num_sms, 1u);
     EXPECT_TRUE(one.stats.per_sm.empty());
+}
+
+/**
+ * One SM runs on the chip's DRAM description: a DRAM override on a
+ * 1-SM cell changes its timing, and the machines block records the
+ * value that was simulated.
+ */
+TEST(Runner, DramOverridesReachSingleSmCells)
+{
+    setLogQuiet(true);
+    SweepSpec base = tinyGrid();
+    base.filterMachines({"SBI"});
+    base.filterWorkloads({"BFS"});
+    base.sms = {1};
+    Results ref = runSweeps({base});
+    ASSERT_EQ(ref.cells.size(), 1u);
+    ASSERT_TRUE(ref.cells[0].verified);
+
+    for (const char *kv :
+         {"dram_latency_cycles=2000", "dram_bytes_per_cycle_x10=5"}) {
+        SweepSpec s = base;
+        std::string err;
+        ASSERT_TRUE(machineApplyKeyValue(&s.machines[0], kv, &err))
+            << err;
+        Results res = runSweeps({s});
+        ASSERT_EQ(res.cells.size(), 1u);
+        EXPECT_TRUE(res.cells[0].verified) << kv;
+        EXPECT_GT(res.cells[0].stats.cycles, ref.cells[0].stats.cycles)
+            << kv;
+        core::GpuConfig want =
+            core::GpuConfig::make(base.machines[0].config, 1);
+        ASSERT_TRUE(core::gpuConfigApplyKeyValue(kv, &want, &err));
+        ASSERT_EQ(res.machines.size(), 1u);
+        EXPECT_TRUE(res.machines[0].config == want) << kv;
+    }
+}
+
+/** Chip keys are checked on every SM count, one SM included. */
+TEST(Sweep, ChipKeysCheckedAtEverySmCount)
+{
+    for (unsigned sms : {1u, 2u}) {
+        SweepSpec s = tinyGrid();
+        s.sms = {sms};
+        std::string err;
+        ASSERT_TRUE(
+            machineApplyKeyValue(&s.machines[0], "l2_slices=3", &err))
+            << err;
+        std::string diag = checkResolvedConfigs(s);
+        EXPECT_NE(diag.find("l2_slices"), std::string::npos)
+            << sms << " SM(s): '" << diag << "'";
+        EXPECT_NE(diag.find("@" + std::to_string(sms) + "sm"),
+                  std::string::npos)
+            << diag;
+    }
 }
 
 TEST(Runner, MultiSmSweepIdenticalAcrossThreadCounts)

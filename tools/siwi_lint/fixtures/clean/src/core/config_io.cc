@@ -5,7 +5,7 @@ namespace siwi::core {
 
 const int table[] = {
     F_U32("num_sms", num_sms, "SM instances on the chip"),
-    F_BOOL("shared_backend", shared_backend, "shared L2 path"),
+    F_U32("l2_slices", l2_slices, "address-interleaved L2 slices"),
 };
 
 } // namespace siwi::core

@@ -10,7 +10,7 @@ struct GpuConfig
 {
     pipeline::SMConfig sm;
     unsigned num_sms = 1;
-    bool shared_backend = false;
+    unsigned l2_slices = 1;
 };
 
 } // namespace siwi::core
