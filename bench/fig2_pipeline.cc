@@ -53,7 +53,7 @@ runAndPrint(const char *title, SMConfig cfg, Json *trace_doc)
     cfg.warp_width = 4;
     cfg.num_warps = 2;
     cfg.mad_width = 4;
-    if (cfg.mode == PipelineMode::Baseline) {
+    if (cfg.reconv == pipeline::ReconvMode::Stack) {
         cfg.mad_groups = 2;
     } else {
         cfg.mad_groups = 1;

@@ -5,6 +5,7 @@
  * also written as a machine-readable document.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/json.hh"
@@ -34,15 +35,27 @@ main(int argc, char **argv)
         // The paper's single SM: its memory is the chip's DRAM
         // channel.
         core::GpuConfig c = core::GpuConfig::make(m, 1);
-        std::printf("\n### %s\n%smemory:             %g B/cycle, "
-                    "%u cycles\n",
-                    pipelineModeName(m), c.sm.summary().c_str(),
+        std::printf("\n### %s\nmode:               %s\n%s"
+                    "memory:             %g B/cycle, %u cycles\n",
+                    pipelineModeName(m), pipelineModeName(m),
+                    c.sm.summary().c_str(),
                     double(c.dram.bytes_per_cycle_x10) / 10.0,
                     c.dram.latency_cycles);
         // The full field-table dump (core/config_io.hh), so the
         // JSON form of Table 2 carries every knob a machine file
-        // could override.
-        doc.set(pipelineModeName(m), core::gpuConfigToJson(c));
+        // could override, plus the two Table 2 rows no knob
+        // holds: the machine's name and its scheduler latency.
+        auto member = [](Json::Object &o, std::string_view key) {
+            return std::find_if(
+                o.begin(), o.end(),
+                [&](const Json::Member &f) { return f.first == key; });
+        };
+        Json j = core::gpuConfigToJson(c);
+        Json::Object &sm = member(j.obj(), "sm")->second.obj();
+        sm.insert(sm.begin(), {"mode", Json(pipelineModeName(m))});
+        sm.insert(member(sm, "delivery_latency"),
+                  {"scheduler_latency", Json(c.sm.schedulerLatency())});
+        doc.set(pipelineModeName(m), std::move(j));
     }
     std::printf("\nPaper Table 2 reference:\n"
                 "  Baseline: 32x32 warps, sched 1cyc, delivery "

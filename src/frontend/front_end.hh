@@ -13,15 +13,11 @@
  * blocks, barriers, events and the memory pipeline, exposed
  * through the narrow FrontEndHost interface.
  *
- * Two concrete front-ends cover the paper's five machines:
- *
- *   StackFrontEnd      Fermi-like baseline — per-pool primary
- *                      schedulers over stack-reconvergent warps.
- *   InterweaveFrontEnd the 64-wide thread-frontier machines
- *                      (TF64, SBI, SWI, SBI+SWI) — composes the
- *                      split-heap context slots, the SBI second
- *                      front-end, the mask-inclusion lookup and
- *                      the SWI cascade register.
+ * One FrontEnd class covers the paper's five machines. Its issue
+ * stage is picked by SMConfig::swi alone: the simple one-cycle
+ * stage (the Fermi-like baseline's two pools, TF64's pools, or
+ * SBI's primary plus CPC2 secondary), or SWI's cascaded stage with
+ * the mask-inclusion lookup and the cascade register.
  *
  * Primary-candidate ordering is delegated to a SchedPolicy
  * strategy (see sched_policy.hh), selected via
@@ -153,7 +149,7 @@ class FrontEndHost
 class FrontEnd
 {
   public:
-    virtual ~FrontEnd() = default;
+    explicit FrontEnd(FrontEndHost &host);
 
     /**
      * Select + issue for one cycle (the SM issue stage).
@@ -165,15 +161,17 @@ class FrontEnd
      *         the SM changes — the contract the event-driven
      *         cycle-skipping loop relies on.
      */
-    virtual bool issueCycle() = 0;
+    bool issueCycle() { return swi_ ? issueCascaded() : issueSimple(); }
 
-    const SchedPolicy &schedPolicy(unsigned pool = 0) const
+  private:
+    /** Primary pick parked between select and issue (SWI). */
+    struct CascadeReg
     {
-        return *policy_[pool];
-    }
-
-  protected:
-    explicit FrontEnd(FrontEndHost &host);
+        bool valid = false;
+        WarpId w = 0;
+        u32 ctx_id = 0;
+        u32 ctx_version = 0;
+    };
 
     /**
      * Policy-ordered pick over @p cands by @p pool's scheduler.
@@ -193,9 +191,9 @@ class FrontEnd
     }
 
     /**
-     * The simple (1-cycle scheduler) issue stage shared by the
-     * Fermi baseline and the non-cascaded interweave machines:
-     * two alternating pools, or one pool plus the SBI secondary.
+     * The simple (1-cycle scheduler) issue stage of every machine
+     * without SWI: two alternating pools, or one pool plus the SBI
+     * secondary.
      * @return true when any instruction issued
      */
     bool issueSimple();
@@ -205,6 +203,12 @@ class FrontEnd
      * @return true when an instruction issued
      */
     bool issueSecondarySimple(const PrimaryIssueInfo &pinfo);
+
+    /** SWI's cascaded (2-cycle scheduler) issue stage (§4). */
+    bool issueCascaded();
+    std::optional<Cand> pickSecondaryCascaded(
+        const PrimaryIssueInfo &pinfo, bool *row_share_out);
+    std::optional<Cand> pickSubstitute();
 
     /**
      * Primary candidate domain of @p pool right now: the awake
@@ -216,6 +220,7 @@ class FrontEnd
     std::span<const Cand> poolDomain(unsigned pool);
 
     FrontEndHost &host_;
+    bool swi_; //!< SMConfig::swi, fixed for the host's lifetime
     /**
      * One policy instance per scheduler pool: pooled machines
      * model two independent schedulers, so stateful policies (RR
@@ -225,46 +230,6 @@ class FrontEnd
     std::unique_ptr<SchedPolicy> policy_[2];
     /** Reusable poolDomain() scratch (hot loop: no allocation). */
     std::vector<Cand> pool_scratch_[2];
-};
-
-/** Fermi-like baseline: stack reconvergence, per-pool schedulers. */
-class StackFrontEnd final : public FrontEnd
-{
-  public:
-    explicit StackFrontEnd(FrontEndHost &host);
-    bool issueCycle() override;
-};
-
-/**
- * Thread-frontier front-end for the 64-wide machines: TF64's
- * pooled schedulers, SBI's dual issue, and SWI's cascaded
- * secondary scheduler with mask-inclusion lookup.
- */
-class InterweaveFrontEnd final : public FrontEnd
-{
-  public:
-    explicit InterweaveFrontEnd(FrontEndHost &host);
-    bool issueCycle() override;
-
-    const pipeline::MaskLookup &maskLookup() const
-    {
-        return lookup_;
-    }
-
-  private:
-    /** Primary pick parked between select and issue (SWI). */
-    struct CascadeReg
-    {
-        bool valid = false;
-        WarpId w = 0;
-        u32 ctx_id = 0;
-        u32 ctx_version = 0;
-    };
-
-    bool issueCascaded();
-    std::optional<Cand> pickSecondaryCascaded(
-        const PrimaryIssueInfo &pinfo, bool *row_share_out);
-    std::optional<Cand> pickSubstitute();
 
     pipeline::MaskLookup lookup_;
     Rng rng_;
@@ -273,13 +238,6 @@ class InterweaveFrontEnd final : public FrontEnd
     std::vector<pipeline::LookupCandidate> lookup_scratch_;
     std::vector<Cand> cand_scratch_;
 };
-
-/**
- * Build the front-end matching @p host's configuration: cascaded
- * or thread-frontier machines get the InterweaveFrontEnd, plain
- * stack machines the StackFrontEnd.
- */
-std::unique_ptr<FrontEnd> makeFrontEnd(FrontEndHost &host);
 
 } // namespace siwi::frontend
 

@@ -37,7 +37,6 @@ SMConfig
 SMConfig::make(PipelineMode mode)
 {
     SMConfig c;
-    c.mode = mode;
     switch (mode) {
       case PipelineMode::Baseline:
         // Figure 1: two 32-wide pools, stack reconvergence.
@@ -47,7 +46,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_groups = 2;
         c.mad_width = 32;
         c.reconv = ReconvMode::Stack;
-        c.scheduler_latency = 1;
         c.delivery_latency = 0;
         c.split_on_memory_divergence = false; // stack cannot split
         break;
@@ -58,7 +56,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_groups = 1;
         c.mad_width = 64;
         c.reconv = ReconvMode::ThreadFrontier;
-        c.scheduler_latency = 1;
         c.delivery_latency = 1;
         break;
       case PipelineMode::SBI:
@@ -69,7 +66,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_width = 64;
         c.reconv = ReconvMode::ThreadFrontier;
         c.sbi = true;
-        c.scheduler_latency = 1;
         c.delivery_latency = 1;
         break;
       case PipelineMode::SWI:
@@ -80,7 +76,6 @@ SMConfig::make(PipelineMode mode)
         c.mad_width = 64;
         c.reconv = ReconvMode::ThreadFrontier;
         c.swi = true;
-        c.scheduler_latency = 2;
         c.delivery_latency = 1;
         c.shuffle = LaneShufflePolicy::XorRev;
         break;
@@ -93,7 +88,6 @@ SMConfig::make(PipelineMode mode)
         c.reconv = ReconvMode::ThreadFrontier;
         c.sbi = true;
         c.swi = true;
-        c.scheduler_latency = 2;
         c.delivery_latency = 1;
         c.shuffle = LaneShufflePolicy::XorRev;
         break;
@@ -127,9 +121,6 @@ SMConfig::checkInvariants() const
     if (split_on_memory_divergence && reconv == ReconvMode::Stack)
         return "memory splits require thread-frontier "
                "reconvergence";
-    if (swi && !cascaded())
-        return "swi requires cascaded scheduling "
-               "(scheduler_latency >= 2)";
     if (lookup_sets < 1 || lookup_sets > num_warps)
         return "lookup_sets out of range (1..num_warps)";
     if (scoreboard_entries < 1)
@@ -161,14 +152,14 @@ std::string
 SMConfig::summary() const
 {
     std::ostringstream os;
-    os << "mode:               " << pipelineModeName(mode) << "\n"
-       << "warps x width:      " << num_warps << " x " << warp_width
+    os << "warps x width:      " << num_warps << " x " << warp_width
        << "\n"
        << "scheduler pools:    " << num_pools << "\n"
        << "reconvergence:      "
        << (reconv == ReconvMode::Stack ? "stack" : "thread frontier")
        << "\n"
-       << "scheduler latency:  " << scheduler_latency << " cycle(s)\n"
+       << "scheduler latency:  " << schedulerLatency()
+       << " cycle(s)\n"
        << "delivery latency:   " << delivery_latency << " cycle(s)\n"
        << "execution latency:  " << exec_latency << " cycles\n"
        << "scoreboard:         " << scoreboard_entries

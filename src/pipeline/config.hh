@@ -1,6 +1,6 @@
 /**
  * @file
- * SM configuration (the paper's Table 2 plus mode switches).
+ * SM configuration (the paper's Table 2 plus the SBI/SWI switches).
  */
 
 #ifndef SIWI_PIPELINE_CONFIG_HH
@@ -41,8 +41,6 @@ const char *laneShuffleName(LaneShufflePolicy p);
 /** Full SM parameter set. */
 struct SMConfig
 {
-    PipelineMode mode = PipelineMode::Baseline;
-
     // --- machine geometry ---
     unsigned warp_width = 32;
     unsigned num_warps = 32;
@@ -55,7 +53,11 @@ struct SMConfig
     // --- divergence handling ---
     ReconvMode reconv = ReconvMode::Stack;
     bool sbi = false; //!< secondary front-end over CPC2 contexts
-    bool swi = false; //!< cascaded mask-fit secondary scheduler
+    /**
+     * Cascaded mask-fit secondary scheduler (paper 4): the
+     * two-cycle scheduler of Table 2's SWI rows.
+     */
+    bool swi = false;
     /** Honor SYNC selective synchronization barriers (paper 3.3). */
     bool sbi_constraints = true;
     /**
@@ -85,7 +87,6 @@ struct SMConfig
     unsigned lookup_sets = 1;
 
     // --- timing (Table 2) ---
-    unsigned scheduler_latency = 1;  //!< 2 = cascaded secondary
     unsigned delivery_latency = 0;   //!< instruction delivery stage
     unsigned exec_latency = 8;
     unsigned scoreboard_entries = 6; //!< per warp
@@ -99,13 +100,16 @@ struct SMConfig
     /** Threads resident at full occupancy. */
     unsigned maxThreads() const { return warp_width * num_warps; }
 
-    /** True for cascaded-secondary (SWI-style) scheduling. */
-    bool cascaded() const { return scheduler_latency >= 2; }
+    /** Scheduler cycles (Table 2): SWI's cascade takes two. */
+    unsigned schedulerLatency() const { return swi ? 2 : 1; }
 
     /** Build the canonical configuration of a pipeline mode. */
     static SMConfig make(PipelineMode mode);
 
-    /** Table 2-style multi-line summary. */
+    /**
+     * Table 2-style multi-line summary. A configuration carries
+     * no machine name, so the caller prints that.
+     */
     std::string summary() const;
 
     /**

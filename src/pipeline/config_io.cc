@@ -10,12 +10,9 @@ namespace siwi::pipeline {
 namespace {
 
 // Canonical enum name arrays; index == enum value. The unit tests
-// assert these stay in sync with pipelineModeName() /
-// laneShuffleName() / frontend::schedPolicyName(), the display
-// functions the rest of the simulator uses.
-constexpr const char *mode_names[] = {
-    "Baseline", "Warp64", "SBI", "SWI", "SBI+SWI",
-};
+// assert these stay in sync with laneShuffleName() /
+// frontend::schedPolicyName(), the display functions the rest of
+// the simulator uses.
 constexpr const char *reconv_names[] = {
     "stack",
     "thread_frontier",
@@ -52,9 +49,6 @@ const std::vector<ConfigField<SMConfig>> &
 fieldTable()
 {
     static const std::vector<ConfigField<SMConfig>> v = {
-        F_ENUM("mode", mode, mode_names,
-               "pipeline mode label of the base machine "
-               "(pick via a machine's \"base\", not via set)"),
         // --- machine geometry ---
         F_U32("warp_width", warp_width,
               "threads per warp (32 = Fermi, 64 = interweaving "
@@ -75,8 +69,8 @@ fieldTable()
                "secondary front-end over CPC2 contexts "
                "(paper 3.3)"),
         F_BOOL("swi", swi,
-               "cascaded mask-fit secondary scheduler "
-               "(paper 4)"),
+               "cascaded mask-fit secondary scheduler, two "
+               "scheduler cycles (paper 4)"),
         F_BOOL("sbi_constraints", sbi_constraints,
                "honor SYNC selective synchronization barriers"),
         F_BOOL("sbi_secondary_fallback", sbi_secondary_fallback,
@@ -101,8 +95,6 @@ fieldTable()
               "mask-inclusion lookup sets; 1 = fully "
               "associative, num_warps = direct mapped"),
         // --- timing (Table 2) ---
-        F_U32("scheduler_latency", scheduler_latency,
-              "scheduler cycles (2 = cascaded secondary)"),
         F_U32("delivery_latency", delivery_latency,
               "instruction-delivery stage cycles"),
         F_U32("exec_latency", exec_latency,

@@ -49,7 +49,8 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
       sb_(cfg.num_warps, cfg.scoreboard_entries),
       fe_rr_(2, 0),
       awake_(cfg.num_warps),
-      asleep_(cfg.num_warps)
+      asleep_(cfg.num_warps),
+      frontend_(*this)
 {
     cfg_.validate();
     for (unsigned g = 0; g < cfg_.mad_groups; ++g) {
@@ -61,8 +62,6 @@ SM::SM(const SMConfig &cfg, mem::MemoryImage &memory,
 
     for (WarpSlot &ws : warps_)
         ws.state = std::make_unique<exec::WarpState>(cfg_.warp_width);
-
-    frontend_ = frontend::makeFrontEnd(*this);
 }
 
 void
@@ -145,7 +144,7 @@ SM::step()
     // skipped over or the counts would diverge from per-cycle
     // stepping.
     u64 sync_before = stats_.sync_suspensions;
-    progress |= frontend_->issueCycle();
+    progress |= frontend_.issueCycle();
     progress |= stats_.sync_suspensions != sync_before;
 
     u64 fetches_before = stats_.fetches;

@@ -11,10 +11,8 @@
  * The SM is a policy host: it owns warp/block/barrier/event state,
  * the instruction buffer, the scoreboard, the execution groups and
  * the memory pipeline, and implements frontend::FrontEndHost. The
- * per-cycle select/issue decision lives in the frontend layer (a
- * StackFrontEnd or InterweaveFrontEnd built by
- * frontend::makeFrontEnd from the configuration; see
- * src/frontend/front_end.hh).
+ * per-cycle select/issue decision lives in the frontend layer
+ * (frontend::FrontEnd, see src/frontend/front_end.hh).
  *
  * The SM has no cycle loop of its own: core::Gpu::launch drives
  * step()/nextWake()/skipTo() for every SM of a launch, one SM
@@ -172,12 +170,6 @@ class SM final : public frontend::FrontEndHost
 
     /** Statistics snapshot (complete after finalizeStats()). */
     core::SimStats &stats() override { return stats_; }
-
-    /** The select/issue layer driving this SM. */
-    const frontend::FrontEnd &frontEnd() const
-    {
-        return *frontend_;
-    }
 
     /**
      * Fold warp/cache/unit counters into stats_ and return it.
@@ -391,7 +383,6 @@ class SM final : public frontend::FrontEndHost
     std::vector<TimedEvent> events_;
     u64 event_seq_ = 0;
     frontend::PrimaryIssueInfo last_primary_; //!< issued this cycle
-    std::unique_ptr<frontend::FrontEnd> frontend_;
 
     Cycle now_ = 0;
     u64 skipped_cycles_ = 0;
@@ -418,6 +409,11 @@ class SM final : public frontend::FrontEndHost
 
     core::SimStats stats_;
     TraceHook trace_;
+    /**
+     * Built from cfg_ and warps_, so declared after them; last, so
+     * it does not split the hot cycle-state members above.
+     */
+    frontend::FrontEnd frontend_;
 };
 
 } // namespace siwi::pipeline

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "frontend/registry.hh"
+#include "frontend/sched_policy.hh"
 #include "runner/metrics.hh"
 #include "runner/table.hh"
 
@@ -178,14 +178,15 @@ policyBody(const Results &res, const std::string &sweep)
         // and "<m>/<policy>" for every other policy present.
         std::vector<std::string> names = {"oldest"};
         std::vector<Ratio> ratios;
-        for (const frontend::PolicyEntry &p :
-             frontend::policyRegistry()) {
-            std::string label = base + "/" + p.name;
-            if (p.kind == frontend::SchedPolicyKind::OldestFirst ||
+        for (frontend::SchedPolicyKind k :
+             frontend::allSchedPolicies()) {
+            const char *name = frontend::schedPolicyName(k);
+            std::string label = base + "/" + name;
+            if (k == frontend::SchedPolicyKind::OldestFirst ||
                 !hasColumn(res, sweep, label))
                 continue;
-            names.push_back(p.name);
-            ratios.push_back({p.name, label, base});
+            names.push_back(name);
+            ratios.push_back({name, label, base});
         }
         if (ratios.empty())
             continue;

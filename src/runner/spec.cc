@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "frontend/registry.hh"
+#include "frontend/sched_policy.hh"
 #include "pipeline/config_io.hh"
 #include "runner/results.hh"
 
@@ -66,10 +66,17 @@ checkKeys(const Json &j,
 
 MachineRegistry::MachineRegistry()
 {
-    for (const frontend::MachineEntry &m :
-         frontend::machineRegistry())
-        machines_.push_back(
-            {m.name, pipeline::SMConfig::make(m.mode), {}});
+    using pipeline::PipelineMode;
+    // The five paper machines, in Figure 7 column order.
+    const std::pair<const char *, PipelineMode> paper[] = {
+        {"Baseline", PipelineMode::Baseline},
+        {"SBI", PipelineMode::SBI},
+        {"SWI", PipelineMode::SWI},
+        {"SBI+SWI", PipelineMode::SBISWI},
+        {"Warp64", PipelineMode::Warp64},
+    };
+    for (const auto &[name, mode] : paper)
+        machines_.push_back({name, pipeline::SMConfig::make(mode), {}});
 }
 
 bool
@@ -140,16 +147,6 @@ machineFromJson(const Json &j, const std::string &base_dir,
         return false;
     }
     if (const Json *set = j.find("set")) {
-        if (set->isObject() && set->find("mode")) {
-            // The mode tag is the base machine's identity; a
-            // "set" that changes only the tag would make the
-            // self-describing artifacts lie.
-            if (err)
-                *err = "machine '" + m.name +
-                       "': 'mode' is fixed by the base machine "
-                       "(pick a different 'base' instead)";
-            return false;
-        }
         if (!machineApplyJson(&m, *set, err)) {
             if (err)
                 *err = "machine '" + m.name + "': " + *err;
@@ -329,11 +326,11 @@ sweepFromJson(const Json &j, const std::string &base_dir,
             if (!e.isString() ||
                 !frontend::parseSchedPolicy(e.str(), &kind)) {
                 std::string names;
-                for (const frontend::PolicyEntry &p :
-                     frontend::policyRegistry()) {
+                for (frontend::SchedPolicyKind k :
+                     frontend::allSchedPolicies()) {
                     if (!names.empty())
                         names += " | ";
-                    names += p.name;
+                    names += frontend::schedPolicyName(k);
                 }
                 return fail("bad policy (" + names + ")");
             }
@@ -343,9 +340,6 @@ sweepFromJson(const Json &j, const std::string &base_dir,
 
     // --- per-sweep overrides ---
     if (const Json *set = j.find("set")) {
-        if (set->isObject() && set->find("mode"))
-            return fail("'mode' is fixed by the base machine "
-                        "(pick a different 'base' instead)");
         for (MachineSpec &m : s.machines) {
             std::string serr;
             if (!machineApplyJson(&m, *set, &serr))

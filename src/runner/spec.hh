@@ -45,8 +45,10 @@
 namespace siwi::runner {
 
 /**
- * Machine-name resolution: the five paper machines (built-in,
- * from frontend::machineRegistry()) plus user machines registered
+ * Machine-name resolution: the five paper machines (built-in
+ * rows, each SMConfig::make of its PipelineMode; a machine is its
+ * config switches, so no other table names them) plus user
+ * machines registered
  * at runtime. Names are matched case-insensitively; user machines
  * cannot shadow an existing name.
  */

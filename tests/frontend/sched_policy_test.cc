@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the SchedPolicy strategies, against a scripted
  * mock FrontEndHost: selection order, cursor/greedy state, and
- * the registry.
+ * the policy names.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "frontend/front_end.hh"
-#include "frontend/registry.hh"
 #include "frontend/sched_policy.hh"
 #include "pipeline/config.hh"
 
@@ -133,6 +132,7 @@ domain(unsigned warps)
 
 TEST(SchedPolicyRegistry, NamesRoundTrip)
 {
+    EXPECT_EQ(allSchedPolicies().size(), 4u);
     for (SchedPolicyKind k : allSchedPolicies()) {
         SchedPolicyKind back;
         ASSERT_TRUE(parseSchedPolicy(schedPolicyName(k), &back));
@@ -142,21 +142,6 @@ TEST(SchedPolicyRegistry, NamesRoundTrip)
     EXPECT_FALSE(parseSchedPolicy("nope", &k));
     EXPECT_STREQ(schedPolicyName(SchedPolicyKind::OldestFirst),
                  "oldest");
-}
-
-TEST(SchedPolicyRegistry, MachineAndPolicyTables)
-{
-    EXPECT_EQ(machineRegistry().size(), 5u);
-    ASSERT_NE(findMachineEntry("SBI+SWI"), nullptr);
-    EXPECT_EQ(findMachineEntry("SBI+SWI")->mode,
-              pipeline::PipelineMode::SBISWI);
-    EXPECT_EQ(findMachineEntry("nope"), nullptr);
-
-    EXPECT_EQ(policyRegistry().size(), 4u);
-    ASSERT_NE(findPolicyEntry("gto"), nullptr);
-    EXPECT_EQ(findPolicyEntry("gto")->kind,
-              SchedPolicyKind::GreedyThenOldest);
-    EXPECT_EQ(findPolicyEntry("nope"), nullptr);
 }
 
 TEST(SchedPolicy, OldestFirstPicksMinimumSeq)

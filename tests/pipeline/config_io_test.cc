@@ -122,10 +122,11 @@ TEST(SMConfigIo, EnumNamesAreCaseInsensitive)
     std::string err;
     Json j = Json::object();
     j.set("lane_shuffle", Json("xor"));
-    j.set("mode", Json("sbi+swi"));
+    j.set("sched_policy", Json("GTO"));
     ASSERT_TRUE(pipeline::smConfigApplyJson(j, &c, &err)) << err;
     EXPECT_EQ(c.shuffle, pipeline::LaneShufflePolicy::Xor);
-    EXPECT_EQ(c.mode, PipelineMode::SBISWI);
+    EXPECT_EQ(c.sched_policy,
+              frontend::SchedPolicyKind::GreedyThenOldest);
 }
 
 TEST(SMConfigIo, TypeMismatchesAreErrors)
@@ -203,10 +204,7 @@ TEST(SMConfigIo, EnumNameArraysMatchTheDisplayFunctions)
         for (size_t i = 0; i < f.values.size(); ++i) {
             SMConfig c;
             f.set(c, u64(i));
-            if (std::string(f.key) == "mode") {
-                EXPECT_STREQ(f.values[i],
-                             pipeline::pipelineModeName(c.mode));
-            } else if (std::string(f.key) == "lane_shuffle") {
+            if (std::string(f.key) == "lane_shuffle") {
                 EXPECT_STREQ(
                     f.values[i],
                     pipeline::laneShuffleName(c.shuffle));
@@ -266,8 +264,8 @@ TEST(SMConfigIo, CheckInvariantsIsTheNonFatalValidate)
     c.warp_width = 3;
     EXPECT_FALSE(c.checkInvariants().empty());
     c = SMConfig::make(PipelineMode::Baseline);
-    c.swi = true; // without cascaded scheduling
-    EXPECT_NE(c.checkInvariants().find("swi"),
+    c.sbi = true; // over stack reconvergence
+    EXPECT_NE(c.checkInvariants().find("sbi"),
               std::string::npos);
     // Zero-width units would panic deep inside the exec stage;
     // the non-fatal check must catch them at load time.

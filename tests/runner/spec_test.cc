@@ -102,10 +102,11 @@ TEST(MachineFromJson, ErrorsNameTheProblem)
 
     // A set that violates the config invariants is caught at
     // load time, not by a simulator panic later.
-    j = parseJson(R"({"name": "X", "base": "swi",
-                      "set": {"scheduler_latency": 1}})");
+    j = parseJson(R"({"name": "X", "base": "baseline",
+                      "set": {"sbi": true}})");
     EXPECT_FALSE(machineFromJson(j, "", reg, &m, &err));
-    EXPECT_NE(err.find("cascaded"), std::string::npos) << err;
+    EXPECT_NE(err.find("thread-frontier"), std::string::npos)
+        << err;
 
     j = parseJson(R"({"name": "X", "base": "swi",
                       "flavor": "mild"})");
@@ -231,7 +232,7 @@ TEST(SpecFile, StrictErrorsNameTheOffender)
                       &err));
     EXPECT_NE(err.find("twice"), std::string::npos) << err;
 
-    // The mode tag is fixed by the base machine.
+    // A machine is its switches: there is no mode label to set.
     EXPECT_FALSE(load(R"({"name": "x", "sweeps": [
         {"name": "s",
          "machines": [{"name": "M", "base": "Baseline",
@@ -330,6 +331,42 @@ TEST(Dedupe, RunSweepsNeverRunsADuplicateColumn)
     EXPECT_EQ(res.cells.size(), 1u);
     EXPECT_EQ(res.machines.size(), 1u);
     EXPECT_EQ(res.cells[0].machine, "Baseline");
+}
+
+TEST(Spec, SwitchesAloneDescribeAMachine)
+{
+    // SBI with the SWI switch and SWI's lane shuffle is SBI+SWI:
+    // no label or latency field sets the two apart.
+    std::string path = testing::TempDir() + "sbi_plus_swi.json";
+    {
+        std::ofstream out(path);
+        out << R"({"base": "SBI",
+                   "set": {"swi": true, "lane_shuffle": "XorRev"}})";
+    }
+    MachineRegistry reg;
+    MachineSpec m;
+    std::string err;
+    ASSERT_TRUE(loadMachineFile(path, reg, &m, &err)) << err;
+    EXPECT_TRUE(m.config == reg.find("SBI+SWI")->config);
+
+    // One sweep holding both runs one column, and says so.
+    SweepSpec s = tinyFig7Irregular();
+    s.name = "twins";
+    s.filterMachines({"SBI+SWI"});
+    s.filterWorkloads({"BFS"});
+    s.machines.push_back(m);
+    setLogQuiet(false);
+    testing::internal::CaptureStderr();
+    Results res = runSweeps({s});
+    std::string log = testing::internal::GetCapturedStderr();
+    setLogQuiet(true);
+    EXPECT_EQ(res.cells.size(), 1u);
+    EXPECT_EQ(res.machines.size(), 1u);
+    EXPECT_EQ(res.cells[0].machine, "SBI+SWI");
+    EXPECT_NE(log.find("machines 'SBI+SWI' and 'sbi_plus_swi' "
+                       "resolve to the same configuration"),
+              std::string::npos)
+        << log;
 }
 
 TEST(Results, EmbedsTheResolvedMachineConfigs)

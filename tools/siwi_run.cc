@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/config_io.hh"
-#include "frontend/registry.hh"
+#include "frontend/sched_policy.hh"
 #include "pipeline/config_io.hh"
 #include "runner/reports.hh"
 #include "runner/runner.hh"
@@ -343,9 +343,9 @@ main(int argc, char **argv)
              workloads::allWorkloads())
             std::printf(" %s", w->name());
         std::printf("\npolicies:");
-        for (const frontend::PolicyEntry &p :
-             frontend::policyRegistry())
-            std::printf(" %s", p.name);
+        for (frontend::SchedPolicyKind k :
+             frontend::allSchedPolicies())
+            std::printf(" %s", frontend::schedPolicyName(k));
         std::printf("\n");
         return exit_ok;
     }
@@ -577,13 +577,7 @@ main(int argc, char **argv)
     }
     if (have_size) {
         workloads::SizeClass sz;
-        if (size_str == "tiny") {
-            sz = workloads::SizeClass::Tiny;
-        } else if (size_str == "full") {
-            sz = workloads::SizeClass::Full;
-        } else if (size_str == "chip") {
-            sz = workloads::SizeClass::Chip;
-        } else {
+        if (!parseSizeClass(size_str, &sz)) {
             std::fprintf(stderr, "siwi-run: bad --size: %s\n",
                          size_str.c_str());
             return exit_usage;
@@ -619,15 +613,6 @@ main(int argc, char **argv)
     // --set mutations apply to every machine of every selected
     // sweep, through the same field table as spec files; the
     // result must still satisfy the config invariants.
-    for (const std::string &kv : set_kvs) {
-        if (kv.starts_with("mode=")) {
-            std::fprintf(stderr,
-                         "siwi-run: --set mode is fixed by the "
-                         "base machine (use --machine or a "
-                         "machine file instead)\n");
-            return exit_usage;
-        }
-    }
     for (SweepSpec &s : sweeps) {
         for (MachineSpec &m : s.machines) {
             for (const std::string &kv : set_kvs) {
