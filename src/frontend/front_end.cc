@@ -3,6 +3,7 @@
 #include "common/log.hh"
 #include "pipeline/config.hh"
 #include "pipeline/exec_unit.hh"
+#include "pipeline/sm.hh"
 
 namespace siwi::frontend {
 
@@ -23,20 +24,18 @@ effectiveClass(UnitClass cls)
 } // namespace
 
 // ----------------------------------------------------------------
-// policy selection + the simple issue stage
+// candidate domains + the simple issue stage
 // ----------------------------------------------------------------
 
-FrontEnd::FrontEnd(FrontEndHost &host)
-    : host_(host), swi_(host.config().swi),
-      lookup_(host.numWarps(), host.config().lookup_sets, 0xdecaf),
+FrontEnd::FrontEnd(pipeline::SM &sm)
+    : sm_(sm), swi_(sm.config().swi),
+      policy_{SchedPolicy(sm.config().sched_policy, sm.numWarps()),
+              SchedPolicy(sm.config().sched_policy, sm.numWarps())},
+      lookup_(sm.numWarps(), sm.config().lookup_sets, 0xdecaf),
       rng_(0xc0ffee)
 {
-    const SMConfig &cfg = host_.config();
-    for (unsigned pool = 0; pool < 2; ++pool) {
-        policy_[pool] = makeSchedPolicy(cfg.sched_policy,
-                                        host_.numWarps());
-        pool_scratch_[pool].reserve(host_.numWarps());
-    }
+    for (std::vector<Cand> &scratch : pool_scratch_)
+        scratch.reserve(sm_.numWarps());
 }
 
 std::span<const Cand>
@@ -46,10 +45,10 @@ FrontEnd::poolDomain(unsigned pool)
     // warps are provably unready, so the policies rank the same
     // ready candidates, in the same ascending-warp order, as the
     // full scan did — only the provably fruitless probes are gone.
-    const SMConfig &cfg = host_.config();
+    const SMConfig &cfg = sm_.config();
     std::vector<Cand> &d = pool_scratch_[pool];
     d.clear();
-    host_.awakeWarps().forEach([&](WarpId w) {
+    sm_.awakeWarps().forEach([&](WarpId w) {
         if (cfg.num_pools == 2 && (w % 2) != pool)
             return;
         d.push_back({w, 0});
@@ -57,30 +56,24 @@ FrontEnd::poolDomain(unsigned pool)
     return d;
 }
 
-std::optional<Cand>
-FrontEnd::selectPrimary(unsigned pool, std::span<const Cand> cands,
-                        bool check_group)
-{
-    return policy_[pool]->select(host_, cands, check_group);
-}
-
 bool
 FrontEnd::issueSimple()
 {
-    host_.clearLastPrimary();
-    const SMConfig &cfg = host_.config();
+    sm_.clearLastPrimary();
+    const SMConfig &cfg = sm_.config();
     bool issued = false;
 
     if (cfg.num_pools == 2) {
         // Two symmetric schedulers; alternate arbitration priority
         // for the shared SFU/LSU groups.
-        unsigned first = unsigned(host_.now() & 1);
+        unsigned first = unsigned(sm_.now() & 1);
         for (unsigned k = 0; k < 2; ++k) {
             unsigned pool = (first + k) % 2;
-            auto c = selectPrimary(pool, poolDomain(pool), true);
-            if (c && host_.issueCand(c->w, c->slot, false, nullptr,
-                                     false)) {
-                notifyIssued(pool, *c);
+            auto c =
+                policy_[pool].select(sm_, poolDomain(pool), true);
+            if (c && sm_.issueCand(c->w, c->slot, false, nullptr,
+                                   false)) {
+                policy_[pool].notifyIssued(*c);
                 issued = true;
             }
         }
@@ -88,13 +81,12 @@ FrontEnd::issueSimple()
     }
 
     // SBI: primary over CPC1 entries, secondary over CPC2 entries.
-    auto c = selectPrimary(0, poolDomain(0), true);
-    if (c &&
-        host_.issueCand(c->w, c->slot, false, nullptr, false)) {
-        notifyIssued(0, *c);
+    auto c = policy_[0].select(sm_, poolDomain(0), true);
+    if (c && sm_.issueCand(c->w, c->slot, false, nullptr, false)) {
+        policy_[0].notifyIssued(*c);
         issued = true;
     }
-    issued |= issueSecondarySimple(host_.lastPrimary());
+    issued |= issueSecondarySimple(sm_.lastPrimary());
     return issued;
 }
 
@@ -108,14 +100,14 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
     std::optional<Cand> best;
     bool best_row = false;
     u64 best_seq = ~u64(0);
-    host_.awakeWarps().forEach([&](WarpId w) {
-        if (!host_.ready(w, 1, false))
+    sm_.awakeWarps().forEach([&](WarpId w) {
+        if (!sm_.ready(w, 1, false))
             return;
-        const IBufEntry *e = host_.entryFor(w, 1);
+        const IBufEntry *e = sm_.entryFor(w, 1);
         UnitClass cls = effectiveClass(e->inst.unit());
         bool row = pinfo.valid && w == pinfo.w &&
                    cls == pinfo.unit && cls != UnitClass::LSU;
-        if (!row && !host_.freeGroup(cls))
+        if (!row && !sm_.freeGroup(cls))
             return;
         if (e->seq < best_seq) {
             best_seq = e->seq;
@@ -125,32 +117,32 @@ FrontEnd::issueSecondarySimple(const PrimaryIssueInfo &pinfo)
     });
     if (best) {
         PrimaryIssueInfo pcopy = pinfo;
-        return host_.issueCand(best->w, best->slot, true, &pcopy,
-                               best_row);
+        return sm_.issueCand(best->w, best->slot, true, &pcopy,
+                             best_row);
     }
 
-    if (!host_.config().sbi_secondary_fallback)
+    if (!sm_.config().sbi_secondary_fallback)
         return false;
 
     // Fallback: issue another warp's primary-context instruction to
     // a different SIMD group (docs/DESIGN.md interpretation note).
     best.reset();
     best_seq = ~u64(0);
-    host_.awakeWarps().forEach([&](WarpId w) {
+    sm_.awakeWarps().forEach([&](WarpId w) {
         if (pinfo.valid && w == pinfo.w)
             return;
-        if (!host_.ready(w, 0, true))
+        if (!sm_.ready(w, 0, true))
             return;
-        const IBufEntry *e = host_.entryFor(w, 0);
+        const IBufEntry *e = sm_.entryFor(w, 0);
         if (e->seq < best_seq) {
             best_seq = e->seq;
             best = Cand{w, 0};
         }
     });
     if (best) {
-        if (host_.issueCand(best->w, best->slot, true, nullptr,
-                            false)) {
-            host_.stats().fallback_issues += 1;
+        if (sm_.issueCand(best->w, best->slot, true, nullptr,
+                          false)) {
+            sm_.stats().fallback_issues += 1;
             return true;
         }
     }
@@ -178,9 +170,9 @@ FrontEnd::pickSubstitute()
     unsigned best_count = 0;
     unsigned ties = 0;
     auto consider = [&](WarpId w, unsigned slot) {
-        if (!host_.ready(w, slot, true))
+        if (!sm_.ready(w, slot, true))
             return;
-        unsigned count = host_.entryFor(w, slot)->mask.count();
+        unsigned count = sm_.entryFor(w, slot)->mask.count();
         if (!best || count > best_count) {
             best = Cand{w, slot};
             best_count = count;
@@ -191,10 +183,10 @@ FrontEnd::pickSubstitute()
                 best = Cand{w, slot};
         }
     };
-    host_.awakeWarps().forEach(
+    sm_.awakeWarps().forEach(
         [&](WarpId w) { consider(w, 0); });
-    if (host_.config().sbi) {
-        host_.awakeWarps().forEach(
+    if (sm_.config().sbi) {
+        sm_.awakeWarps().forEach(
             [&](WarpId w) { consider(w, 1); });
     }
     return best;
@@ -218,22 +210,22 @@ FrontEnd::pickSecondaryCascaded(
     std::vector<Cand> &cands = cand_scratch_;
     lc.clear();
     cands.clear();
-    host_.awakeWarps().forEach([&](WarpId w) {
+    sm_.awakeWarps().forEach([&](WarpId w) {
         for (unsigned slot = 0; slot < 2; ++slot) {
-            if (slot == 1 && !host_.config().sbi)
+            if (slot == 1 && !sm_.config().sbi)
                 continue;
             if (slot == 0 && w == pinfo.w)
                 continue; // primary context just issued
-            if (!host_.ready(w, slot, false))
+            if (!sm_.ready(w, slot, false))
                 continue;
-            const IBufEntry *e = host_.entryFor(w, slot);
+            const IBufEntry *e = sm_.entryFor(w, slot);
             UnitClass cls = effectiveClass(e->inst.unit());
             LookupCandidate c;
             c.key = u32(cands.size());
             c.warp = w;
             c.mask = e->mask;
             c.same_unit = primary_row_shareable && cls == pinfo.unit;
-            c.other_unit_free = host_.freeGroup(cls) != nullptr;
+            c.other_unit_free = sm_.freeGroup(cls) != nullptr;
             // Same-warp CPC2 co-issue is the SBI path: structural,
             // not set-restricted (mask disjointness is guaranteed).
             if (w == pinfo.w || lookup_.eligible(pinfo.w, w)) {
@@ -254,7 +246,7 @@ FrontEnd::pickSecondaryCascaded(
 bool
 FrontEnd::issueCascaded()
 {
-    host_.clearLastPrimary();
+    sm_.clearLastPrimary();
 
     // Activity tracking for the cycle-skipping loop: issues, the
     // cascade-register transitions (stale drop, park) and squashed
@@ -266,21 +258,21 @@ FrontEnd::issueCascaded()
     // in parallel with this cycle's issue (cascaded scheduling,
     // section 4). Claimed entries (the parked pick) are skipped.
     std::optional<Cand> next_pick =
-        selectPrimary(0, poolDomain(0), false);
+        policy_[0].select(sm_, poolDomain(0), false);
     u32 next_pick_ctx = 0;
     if (next_pick)
         next_pick_ctx =
-            host_.entryFor(next_pick->w, next_pick->slot)->ctx_id;
+            sm_.entryFor(next_pick->w, next_pick->slot)->ctx_id;
 
     // Phase A: issue the parked primary pick.
     bool held = false;
     if (cascade_.valid) {
         // Re-locate the parked context (the sorter may have moved
         // it between hot slots).
-        IBufEntry *e = host_.findCtx(cascade_.w, cascade_.ctx_id);
+        IBufEntry *e = sm_.findCtx(cascade_.w, cascade_.ctx_id);
         int slot = -1;
         for (unsigned s = 0; s < 2; ++s) {
-            CtxView cv = host_.ctxView(cascade_.w, s);
+            CtxView cv = sm_.ctxView(cascade_.w, s);
             if (cv.valid && cv.id == cascade_.ctx_id &&
                 cv.version == cascade_.ctx_version) {
                 slot = int(s);
@@ -290,20 +282,20 @@ FrontEnd::issueCascaded()
             e->ctx_version != cascade_.ctx_version) {
             // The warp-split branched, merged or was demoted under
             // the parked pick: drop it.
-            host_.stats().cascade_stale += 1;
+            sm_.stats().cascade_stale += 1;
             if (e && e->claimed)
                 e->claimed = false;
             cascade_.valid = false;
             activity = true;
         } else {
             e->claimed = false; // allow ready() to see it
-            if (host_.ready(cascade_.w, unsigned(slot), true)) {
-                if (host_.issueCand(cascade_.w, unsigned(slot),
-                                    false, nullptr, false)) {
+            if (sm_.ready(cascade_.w, unsigned(slot), true)) {
+                if (sm_.issueCand(cascade_.w, unsigned(slot),
+                                  false, nullptr, false)) {
                     // The pick issued for real: only now advance
                     // the policy's cursor state.
-                    notifyIssued(
-                        0, Cand{cascade_.w, unsigned(slot)});
+                    policy_[0].notifyIssued(
+                        Cand{cascade_.w, unsigned(slot)});
                 }
                 cascade_.valid = false;
                 activity = true;
@@ -320,13 +312,13 @@ FrontEnd::issueCascaded()
     std::optional<u32> sec_issued_ctx;
     WarpId sec_issued_warp = 0;
     auto sec =
-        pickSecondaryCascaded(host_.lastPrimary(), &row_share);
+        pickSecondaryCascaded(sm_.lastPrimary(), &row_share);
     if (sec) {
-        u32 ctx = host_.entryFor(sec->w, sec->slot)->ctx_id;
-        PrimaryIssueInfo pcopy = host_.lastPrimary();
-        if (host_.issueCand(sec->w, sec->slot, true,
-                            pcopy.valid ? &pcopy : nullptr,
-                            row_share)) {
+        u32 ctx = sm_.entryFor(sec->w, sec->slot)->ctx_id;
+        PrimaryIssueInfo pcopy = sm_.lastPrimary();
+        if (sm_.issueCand(sec->w, sec->slot, true,
+                          pcopy.valid ? &pcopy : nullptr,
+                          row_share)) {
             sec_issued_ctx = ctx;
             sec_issued_warp = sec->w;
             activity = true;
@@ -342,10 +334,10 @@ FrontEnd::issueCascaded()
         return activity;
     if (sec_issued_ctx && sec_issued_warp == next_pick->w &&
         *sec_issued_ctx == next_pick_ctx) {
-        host_.stats().conflicts_squashed += 1;
+        sm_.stats().conflicts_squashed += 1;
         return true;
     }
-    IBufEntry *e = host_.entryFor(next_pick->w, next_pick->slot);
+    IBufEntry *e = sm_.entryFor(next_pick->w, next_pick->slot);
     if (!e)
         return activity; // consumed or invalidated this cycle
     cascade_.valid = true;

@@ -9,9 +9,10 @@
  * (§4) — so the front-end is a first-class layer: a FrontEnd
  * object owns the per-cycle select/issue decision and its private
  * scheduler state (cascade register, mask-inclusion lookup,
- * tie-break RNG), while the hosting SM keeps warp contexts,
- * blocks, barriers, events and the memory pipeline, exposed
- * through the narrow FrontEndHost interface.
+ * tie-break RNG), while its SM keeps warp contexts, blocks,
+ * barriers, events and the memory pipeline and answers the front
+ * end's candidate queries (context views, buffered entries,
+ * readiness) and issue calls directly.
  *
  * One FrontEnd class covers the paper's five machines. Its issue
  * stage is picked by SMConfig::swi alone: the simple one-cycle
@@ -19,32 +20,28 @@
  * SBI's primary plus CPC2 secondary), or SWI's cascaded stage with
  * the mask-inclusion lookup and the cascade register.
  *
- * Primary-candidate ordering is delegated to a SchedPolicy
- * strategy (see sched_policy.hh), selected via
- * SMConfig::sched_policy; oldest-first reproduces the paper
- * bit-exactly.
+ * Primary-candidate ordering is delegated to a SchedPolicy (see
+ * sched_policy.hh), selected via SMConfig::sched_policy;
+ * oldest-first reproduces the paper bit-exactly.
  */
 
 #ifndef SIWI_FRONTEND_FRONT_END_HH
 #define SIWI_FRONTEND_FRONT_END_HH
 
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/lane_mask.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "core/stats.hh"
 #include "frontend/sched_policy.hh"
 #include "isa/opcode.hh"
-#include "pipeline/ibuffer.hh"
 #include "pipeline/mask_lookup.hh"
-#include "pipeline/warp_set.hh"
 
 namespace siwi::pipeline {
 class ExecGroup;
-struct SMConfig;
+class SM;
 } // namespace siwi::pipeline
 
 namespace siwi::frontend {
@@ -71,77 +68,10 @@ struct PrimaryIssueInfo
 };
 
 /**
- * What a front-end needs from its hosting SM: candidate
- * visibility (context views, buffered entries, readiness) and the
- * issue primitive. The host keeps ownership of warps, the
- * instruction buffer, the scoreboard and the execution groups;
- * the front-end only decides *what* to issue.
- */
-class FrontEndHost
-{
-  public:
-    virtual const pipeline::SMConfig &config() const = 0;
-    virtual Cycle now() const = 0;
-    virtual unsigned numWarps() const = 0;
-
-    /** Scheduling view of context slot (w, slot). */
-    virtual CtxView ctxView(WarpId w, unsigned slot) const = 0;
-
-    /** Fresh buffered entry of the context in (w, slot), or null. */
-    virtual const pipeline::IBufEntry *entryFor(
-        WarpId w, unsigned slot) const = 0;
-    virtual pipeline::IBufEntry *entryFor(WarpId w,
-                                          unsigned slot) = 0;
-
-    /** Valid buffered entry of context @p ctx_id, or null. */
-    virtual pipeline::IBufEntry *findCtx(WarpId w, u32 ctx_id) = 0;
-
-    /** May (w, slot) issue this cycle? */
-    virtual bool ready(WarpId w, unsigned slot,
-                       bool check_group) const = 0;
-
-    /**
-     * The runnable active list: active warps not parked by the
-     * host's sleep/wake machinery. A sleeping warp is provably
-     * not ready, not fetchable and free of claimed entries, so
-     * every candidate scan may iterate this set instead of all
-     * warps and see identical candidates in identical (ascending)
-     * order. The set can grow mid-cycle (a barrier release wakes
-     * warps), so scans must read it where they run, not cache it.
-     */
-    virtual const pipeline::WarpSet &awakeWarps() const = 0;
-
-    /** A free execution group of class @p cls, or null. */
-    virtual pipeline::ExecGroup *freeGroup(isa::UnitClass cls) = 0;
-
-    /**
-     * Issue the instruction buffered for context slot (w, slot).
-     * @param primary row-sharing context, null for primary issues
-     * @param row_share issue onto the primary's row
-     * @return true on success
-     */
-    virtual bool issueCand(WarpId w, unsigned slot, bool secondary,
-                           PrimaryIssueInfo *primary,
-                           bool row_share) = 0;
-
-    /** Primary issued this cycle (filled by issueCand). */
-    virtual const PrimaryIssueInfo &lastPrimary() const = 0;
-
-    /** Reset lastPrimary() at the top of the issue stage. */
-    virtual void clearLastPrimary() = 0;
-
-    /** Mutable statistics (front-end counters). */
-    virtual core::SimStats &stats() = 0;
-
-  protected:
-    ~FrontEndHost() = default;
-};
-
-/**
  * One SM front-end: selects and issues instructions for one cycle.
  *
  * The candidate domains (per-pool warp lists, the SBI CPC2 slots)
- * are rebuilt each select from the host's runnable active list —
+ * are rebuilt each select from the SM's runnable active list —
  * the machine geometry fixes only their shape. The scratch vectors
  * are reused, so the per-cycle hot loop still never allocates in
  * steady state, and now visits O(runnable) warps, not all of them.
@@ -149,7 +79,7 @@ class FrontEndHost
 class FrontEnd
 {
   public:
-    explicit FrontEnd(FrontEndHost &host);
+    explicit FrontEnd(pipeline::SM &sm);
 
     /**
      * Select + issue for one cycle (the SM issue stage).
@@ -172,23 +102,6 @@ class FrontEnd
         u32 ctx_id = 0;
         u32 ctx_version = 0;
     };
-
-    /**
-     * Policy-ordered pick over @p cands by @p pool's scheduler.
-     * Pure selection: the caller reports the outcome through
-     * notifyIssued() only when the pick actually issues, so
-     * stateful policies (the RR cursor, GTO's last warp) never
-     * advance past a warp that was denied by a structural stall.
-     */
-    std::optional<Cand> selectPrimary(unsigned pool,
-                                      std::span<const Cand> cands,
-                                      bool check_group);
-
-    /** Report a successful primary issue to @p pool's policy. */
-    void notifyIssued(unsigned pool, const Cand &c)
-    {
-        policy_[pool]->notifyIssued(c);
-    }
 
     /**
      * The simple (1-cycle scheduler) issue stage of every machine
@@ -219,15 +132,15 @@ class FrontEnd
      */
     std::span<const Cand> poolDomain(unsigned pool);
 
-    FrontEndHost &host_;
-    bool swi_; //!< SMConfig::swi, fixed for the host's lifetime
+    pipeline::SM &sm_;
+    bool swi_; //!< SMConfig::swi, fixed for the SM's lifetime
     /**
      * One policy instance per scheduler pool: pooled machines
      * model two independent schedulers, so stateful policies (RR
      * cursor, GTO last-warp) must not leak across pools.
      * Single-pool machines only use index 0.
      */
-    std::unique_ptr<SchedPolicy> policy_[2];
+    SchedPolicy policy_[2];
     /** Reusable poolDomain() scratch (hot loop: no allocation). */
     std::vector<Cand> pool_scratch_[2];
 

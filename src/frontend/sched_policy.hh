@@ -6,29 +6,25 @@
  * oldest-first (section 4: "the primary scheduler still selects
  * the oldest ready instruction"), but the policy is orthogonal to
  * the front-end structure: any ordering of the ready primary
- * candidates yields a working machine. SchedPolicy is that
- * strategy seam. Besides the paper's oldest-first it provides the
- * classic alternatives of the GPU-scheduling literature: loose
- * round-robin (fairness), greedy-then-oldest (GTO: stick with the
- * last warp to exploit intra-warp locality), and minimum-PC
- * (favor trailing warp-splits, which accelerates reconvergence on
- * thread-frontier machines).
+ * candidates yields a working machine. Besides the paper's
+ * oldest-first, SchedPolicy provides the classic alternatives of
+ * the GPU-scheduling literature: loose round-robin (fairness),
+ * greedy-then-oldest (GTO: stick with the last warp to exploit
+ * intra-warp locality), and minimum-PC (favor trailing
+ * warp-splits, which accelerates reconvergence on thread-frontier
+ * machines).
  */
 
 #ifndef SIWI_FRONTEND_SCHED_POLICY_HH
 #define SIWI_FRONTEND_SCHED_POLICY_HH
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/types.hh"
 
 namespace siwi::frontend {
-
-class FrontEndHost;
 
 /**
  * A scheduling candidate: warp + context slot (0 = primary /
@@ -60,42 +56,140 @@ bool parseSchedPolicy(std::string_view name, SchedPolicyKind *out);
 std::span<const SchedPolicyKind> allSchedPolicies();
 
 /**
- * Primary-candidate ordering strategy.
+ * One primary scheduler's candidate ordering and its state.
  *
- * select() scans @p cands (a precomputed, static domain — the
- * per-pool warp lists) and returns the best candidate that is
- * ready to issue, or nullopt. Policies with internal state (the
- * round-robin cursor, GTO's last warp) advance it through
- * notifyIssued(), which the front-end calls only when the pick
- * actually issues — a selection denied by a structural stall
- * must not advance the cursor past the stalled warp. Pooled
- * machines get one policy instance per pool.
+ * select() scans the candidates in order and returns the best one
+ * that is ready to issue, or nullopt. The round-robin cursor and
+ * GTO's last warp advance through notifyIssued(), which the
+ * front-end calls only when the pick actually issues — a selection
+ * denied by a structural stall must not advance the cursor past
+ * the stalled warp. Pooled machines get one policy per pool.
  */
 class SchedPolicy
 {
   public:
-    virtual ~SchedPolicy() = default;
-
-    virtual SchedPolicyKind kind() const = 0;
+    SchedPolicy(SchedPolicyKind kind, unsigned num_warps)
+        : kind_(kind), num_warps_(num_warps)
+    {
+    }
 
     /**
      * Pick the best ready candidate of @p cands, or nullopt.
+     *
+     * @p src answers ready(w, slot, check_group) and
+     * entryFor(w, slot) (an entry with seq and pc) — the hosting
+     * SM, or a table in tests. Readiness probes have side effects
+     * (a SYNC-gated probe counts a suspension), so each policy
+     * probes in its own fixed order: every candidate for the
+     * ranking policies, and round-robin lazily up to its pick.
+     *
      * @param check_group also require a free execution group
      */
-    virtual std::optional<Cand> select(
-        const FrontEndHost &host, std::span<const Cand> cands,
-        bool check_group) const = 0;
+    template <class Source>
+    std::optional<Cand> select(const Source &src,
+                               std::span<const Cand> cands,
+                               bool check_group) const;
 
-    /** Candidate @p c issued; advance any cursor state. */
-    virtual void notifyIssued(const Cand &c) { (void)c; }
+    /** Candidate @p c issued: advance the cursor and last warp. */
+    void notifyIssued(const Cand &c)
+    {
+        cursor_ = WarpId((c.w + 1) % num_warps_);
+        have_last_ = true;
+        last_warp_ = c.w;
+    }
 
-  protected:
-    SchedPolicy() = default;
+  private:
+    SchedPolicyKind kind_;
+    unsigned num_warps_;
+    WarpId cursor_ = 0;     //!< round-robin: first warp to try
+    bool have_last_ = false; //!< GTO: some warp has issued
+    WarpId last_warp_ = 0;  //!< GTO: the last issued warp
 };
 
-/** Build the policy strategy for @p kind. */
-std::unique_ptr<SchedPolicy> makeSchedPolicy(SchedPolicyKind kind,
-                                             unsigned num_warps);
+template <class Source>
+std::optional<Cand>
+SchedPolicy::select(const Source &src, std::span<const Cand> cands,
+                    bool check_group) const
+{
+    std::optional<Cand> best;
+    u64 best_seq = ~u64(0);
+    switch (kind_) {
+      case SchedPolicyKind::OldestFirst:
+        // The paper's policy: minimum fetch sequence (age).
+        for (const Cand &c : cands) {
+            if (!src.ready(c.w, c.slot, check_group))
+                continue;
+            u64 seq = src.entryFor(c.w, c.slot)->seq;
+            if (seq < best_seq) {
+                best_seq = seq;
+                best = c;
+            }
+        }
+        return best;
+
+      case SchedPolicyKind::RoundRobin:
+        // Loose round-robin: the first ready candidate at or after
+        // the cursor warp wins ("loose": a warp with nothing ready
+        // is skipped rather than stalling the scheduler). The
+        // domain is warp-ordered, so scanning it twice — first the
+        // tail at/after the cursor, then the wrapped head — visits
+        // candidates in round-robin order.
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const Cand &c : cands) {
+                bool tail = c.w >= cursor_;
+                if ((pass == 0) != tail)
+                    continue;
+                if (src.ready(c.w, c.slot, check_group))
+                    return c;
+            }
+        }
+        return std::nullopt;
+
+      case SchedPolicyKind::GreedyThenOldest: {
+        // Keep issuing from the last issued warp while it has
+        // something ready (intra-warp row reuse and cache
+        // locality), falling back to oldest-first.
+        std::optional<Cand> greedy;
+        u64 greedy_seq = ~u64(0);
+        for (const Cand &c : cands) {
+            if (!src.ready(c.w, c.slot, check_group))
+                continue;
+            u64 seq = src.entryFor(c.w, c.slot)->seq;
+            if (have_last_ && c.w == last_warp_ &&
+                seq < greedy_seq) {
+                greedy_seq = seq;
+                greedy = c;
+            }
+            if (seq < best_seq) {
+                best_seq = seq;
+                best = c;
+            }
+        }
+        return greedy ? greedy : best;
+      }
+
+      case SchedPolicyKind::MinPc: {
+        // Minimum PC first, oldest-first tie-break: favors
+        // trailing warp-splits, pulling divergent contexts back
+        // together — the scheduling analogue of thread-frontier
+        // reconvergence.
+        Pc best_pc = invalid_pc;
+        for (const Cand &c : cands) {
+            if (!src.ready(c.w, c.slot, check_group))
+                continue;
+            const auto *e = src.entryFor(c.w, c.slot);
+            if (!best || e->pc < best_pc ||
+                (e->pc == best_pc && e->seq < best_seq)) {
+                best_pc = e->pc;
+                best_seq = e->seq;
+                best = c;
+            }
+        }
+        return best;
+      }
+    }
+    return best;
+}
 
 } // namespace siwi::frontend
 

@@ -118,6 +118,12 @@ SMConfig::checkInvariants() const
         return "unit widths must divide warp_width";
     if (sbi && reconv == ReconvMode::Stack)
         return "sbi requires thread-frontier reconvergence";
+    // The two-pool issue stage has no SBI secondary, and the SWI
+    // cascade takes its primaries from pool 0 only: on two pools
+    // either switch would silently model another machine.
+    if ((sbi || swi) && num_pools != 1)
+        return "sbi and swi require num_pools=1 (interweaving "
+               "needs one scheduler pool)";
     if (split_on_memory_divergence && reconv == ReconvMode::Stack)
         return "memory splits require thread-frontier "
                "reconvergence";

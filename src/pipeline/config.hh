@@ -44,7 +44,7 @@ struct SMConfig
     // --- machine geometry ---
     unsigned warp_width = 32;
     unsigned num_warps = 32;
-    unsigned num_pools = 2;   //!< independent scheduler pools
+    unsigned num_pools = 2;   //!< scheduler pools (sbi/swi need 1)
     unsigned mad_groups = 2;  //!< number of MAD SIMD groups
     unsigned mad_width = 32;
     unsigned sfu_width = 8;

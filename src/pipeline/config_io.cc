@@ -56,7 +56,8 @@ fieldTable()
         F_U32("num_warps", num_warps,
               "resident warps per SM"),
         F_U32("num_pools", num_pools,
-              "independent scheduler pools (1 or 2)"),
+              "independent scheduler pools (1 or 2; sbi and swi "
+              "need 1)"),
         F_U32("mad_groups", mad_groups,
               "number of MAD SIMD groups"),
         F_U32("mad_width", mad_width, "lanes per MAD group"),

@@ -551,7 +551,7 @@ SM::retireWarpIfDone(WarpId w)
 }
 
 // ----------------------------------------------------------------
-// context views (FrontEndHost)
+// context views (the scheduling view)
 // ----------------------------------------------------------------
 
 CtxView
@@ -671,7 +671,7 @@ SM::freeGroup(UnitClass cls)
 }
 
 // ----------------------------------------------------------------
-// issue (FrontEndHost)
+// issue
 // ----------------------------------------------------------------
 
 void

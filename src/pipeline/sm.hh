@@ -8,11 +8,12 @@
  * reference, SBI, SWI, and SBI+SWI. See docs/DESIGN.md for the pipeline
  * structure and the interpretation notes.
  *
- * The SM is a policy host: it owns warp/block/barrier/event state,
- * the instruction buffer, the scoreboard, the execution groups and
- * the memory pipeline, and implements frontend::FrontEndHost. The
- * per-cycle select/issue decision lives in the frontend layer
- * (frontend::FrontEnd, see src/frontend/front_end.hh).
+ * The SM owns warp/block/barrier/event state, the instruction
+ * buffer, the scoreboard, the execution groups and the memory
+ * pipeline. The per-cycle select/issue decision lives in the
+ * frontend layer (frontend::FrontEnd, see
+ * src/frontend/front_end.hh), which reads the SM's scheduling view
+ * below and issues through it.
  *
  * The SM has no cycle loop of its own: core::Gpu::launch drives
  * step()/nextWake()/skipTo() for every SM of a launch, one SM
@@ -67,9 +68,9 @@ struct IssueEvent
 };
 
 /**
- * Cycle-level SM simulator (front-end host).
+ * Cycle-level SM simulator.
  */
-class SM final : public frontend::FrontEndHost
+class SM
 {
   public:
     /**
@@ -82,7 +83,7 @@ class SM final : public frontend::FrontEndHost
     SM(const SMConfig &cfg, mem::MemoryImage &memory,
        mem::MemoryBackend &backend, unsigned port = 0);
 
-    // The front-end keeps a reference to its host SM.
+    // The front-end keeps a reference to its SM.
     SM(const SM &) = delete;
     SM &operator=(const SM &) = delete;
 
@@ -162,14 +163,14 @@ class SM final : public frontend::FrontEndHost
      */
     u64 skippedCycles() const { return skipped_cycles_; }
 
-    Cycle now() const override { return now_; }
-    const SMConfig &config() const override { return cfg_; }
+    Cycle now() const { return now_; }
+    const SMConfig &config() const { return cfg_; }
 
     using TraceHook = std::function<void(const IssueEvent &)>;
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
 
     /** Statistics snapshot (complete after finalizeStats()). */
-    core::SimStats &stats() override { return stats_; }
+    core::SimStats &stats() { return stats_; }
 
     /**
      * Fold warp/cache/unit counters into stats_ and return it.
@@ -270,33 +271,56 @@ class SM final : public frontend::FrontEndHost
     };
 
     // ------------------------------------------------------------
-    // FrontEndHost interface (the scheduling view of this SM)
+    // scheduling view (what the front-end and its policies read)
     // ------------------------------------------------------------
-    unsigned numWarps() const override
-    {
-        return unsigned(warps_.size());
-    }
-    frontend::CtxView ctxView(WarpId w,
-                              unsigned slot) const override;
-    const IBufEntry *entryFor(WarpId w,
-                              unsigned slot) const override;
-    IBufEntry *entryFor(WarpId w, unsigned slot) override;
-    IBufEntry *findCtx(WarpId w, u32 ctx_id) override;
-    bool ready(WarpId w, unsigned slot,
-               bool check_group) const override;
-    ExecGroup *freeGroup(isa::UnitClass cls) override;
+    friend class frontend::FrontEnd;
+    friend class frontend::SchedPolicy;
+
+    unsigned numWarps() const { return unsigned(warps_.size()); }
+    /** Scheduling view of context slot (w, slot). */
+    frontend::CtxView ctxView(WarpId w, unsigned slot) const;
+    /** Fresh buffered entry of the context in (w, slot), or null. */
+    const IBufEntry *entryFor(WarpId w, unsigned slot) const;
+    IBufEntry *entryFor(WarpId w, unsigned slot);
+    /** Valid buffered entry of context @p ctx_id, or null. */
+    IBufEntry *findCtx(WarpId w, u32 ctx_id);
+    /**
+     * May (w, slot) issue this cycle? A SYNC-gated probe counts a
+     * suspension, so the number and order of calls is part of the
+     * results.
+     */
+    bool ready(WarpId w, unsigned slot, bool check_group) const;
+    /** A free execution group of class @p cls, or null. */
+    ExecGroup *freeGroup(isa::UnitClass cls);
+    /**
+     * Issue the instruction buffered for context slot (w, slot).
+     * @param primary row-sharing context, null for primary issues
+     * @param row_share issue onto the primary's row
+     * @return true on success
+     */
     bool issueCand(WarpId w, unsigned slot, bool secondary,
                    frontend::PrimaryIssueInfo *primary,
-                   bool row_share) override;
-    const frontend::PrimaryIssueInfo &lastPrimary() const override
+                   bool row_share);
+    /** Primary issued this cycle (filled by issueCand). */
+    const frontend::PrimaryIssueInfo &lastPrimary() const
     {
         return last_primary_;
     }
-    void clearLastPrimary() override
+    /** Reset lastPrimary() at the top of the issue stage. */
+    void clearLastPrimary()
     {
         last_primary_ = frontend::PrimaryIssueInfo{};
     }
-    const WarpSet &awakeWarps() const override { return awake_; }
+    /**
+     * The runnable active list: active warps not parked by the
+     * sleep/wake machinery. A sleeping warp is provably not ready,
+     * not fetchable and free of claimed entries, so every candidate
+     * scan may iterate this set instead of all warps and see
+     * identical candidates in identical (ascending) order. The set
+     * can grow mid-cycle (a barrier release wakes warps), so scans
+     * must read it where they run, not cache it.
+     */
+    const WarpSet &awakeWarps() const { return awake_; }
 
     // ------------------------------------------------------------
     // pipeline stages

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "cfg/compiler.hh"
 #include "common/log.hh"
@@ -145,6 +146,67 @@ TEST(FrontEndPolicy, PoliciesProduceDistinctSchedules)
     }
     // ...but not the same schedule.
     EXPECT_GE(distinct, 1u);
+}
+
+
+TEST(FrontEndPolicy, NonDefaultPoliciesArePinned)
+{
+    // The tolerance-0 baseline runs only oldest-first, so the
+    // other policies' schedules are pinned here: the SBI, SBI+SWI
+    // and Baseline issue stages under rr, gto and minpc on a
+    // divergent (BFS) and a barrier-heavy workload, at Tiny size.
+    // A SYNC-gated readiness probe counts a suspension, so
+    // sync_suspensions also pins each policy's probe sequence.
+    struct Pin
+    {
+        const char *workload;
+        PipelineMode machine;
+        const char *policy;
+        u64 cycles;
+        u64 warp_insts;
+        u64 sync_suspensions;
+    };
+    const char *bfs = "BFS", *fwt = "FastWalshTransform";
+    const Pin pins[] = {
+        {bfs, PipelineMode::SBI, "rr", 6698, 1121, 8521},
+        {bfs, PipelineMode::SBI, "gto", 6703, 1121, 8539},
+        {bfs, PipelineMode::SBI, "minpc", 6697, 1121, 8530},
+        {bfs, PipelineMode::SBISWI, "rr", 6678, 1124, 8650},
+        {bfs, PipelineMode::SBISWI, "gto", 6683, 1125, 8652},
+        {bfs, PipelineMode::SBISWI, "minpc", 6682, 1124, 8660},
+        {bfs, PipelineMode::Baseline, "rr", 5861, 1378, 0},
+        {bfs, PipelineMode::Baseline, "gto", 5834, 1378, 0},
+        {bfs, PipelineMode::Baseline, "minpc", 5856, 1378, 0},
+        {fwt, PipelineMode::SBI, "rr", 1384, 470, 0},
+        {fwt, PipelineMode::SBI, "gto", 1350, 456, 0},
+        {fwt, PipelineMode::SBI, "minpc", 1384, 470, 0},
+        {fwt, PipelineMode::SBISWI, "rr", 1369, 476, 0},
+        {fwt, PipelineMode::SBISWI, "gto", 1373, 472, 0},
+        {fwt, PipelineMode::SBISWI, "minpc", 1377, 475, 0},
+        {fwt, PipelineMode::Baseline, "rr", 1283, 624, 0},
+        {fwt, PipelineMode::Baseline, "gto", 1264, 624, 0},
+        {fwt, PipelineMode::Baseline, "minpc", 1283, 624, 0},
+    };
+    setLogQuiet(true);
+    for (const Pin &p : pins) {
+        std::string label = std::string(p.workload) + " on " +
+                            pipelineModeName(p.machine) + "/" +
+                            p.policy;
+        const workloads::Workload *wl =
+            workloads::findWorkload(p.workload);
+        ASSERT_NE(wl, nullptr) << label;
+        SMConfig cfg = SMConfig::make(p.machine);
+        ASSERT_TRUE(
+            frontend::parseSchedPolicy(p.policy, &cfg.sched_policy))
+            << label;
+        workloads::RunResult res = workloads::runWorkload(
+            *wl, cfg, workloads::SizeClass::Tiny);
+        EXPECT_TRUE(res.verified) << label << ": " << res.verify_msg;
+        EXPECT_EQ(res.stats.cycles, p.cycles) << label;
+        EXPECT_EQ(res.stats.instructions, p.warp_insts) << label;
+        EXPECT_EQ(res.stats.sync_suspensions, p.sync_suspensions)
+            << label;
+    }
 }
 
 } // namespace

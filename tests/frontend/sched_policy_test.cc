@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the SchedPolicy strategies, against a scripted
- * mock FrontEndHost: selection order, cursor/greedy state, and
- * the policy names.
+ * Unit tests for the SchedPolicy orderings, against a scripted
+ * candidate table: selection order, cursor/greedy state, and the
+ * policy names.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,7 @@
 #include <map>
 #include <utility>
 
-#include "frontend/front_end.hh"
 #include "frontend/sched_policy.hh"
-#include "pipeline/config.hh"
 
 using namespace siwi;
 using namespace siwi::frontend;
@@ -20,13 +18,12 @@ using namespace siwi::frontend;
 namespace {
 
 /**
- * A host whose candidate readiness / age / PC is a scripted
+ * A candidate source whose readiness / age / PC is a scripted
  * table, so policy selection can be tested in isolation from the
- * pipeline.
+ * pipeline. It answers the two queries select() makes.
  */
-class MockHost final : public FrontEndHost
+struct Table
 {
-  public:
     struct Slot
     {
         bool ready = false;
@@ -34,91 +31,20 @@ class MockHost final : public FrontEndHost
         Pc pc = 0;
     };
 
-    MockHost()
+    Slot &slot(WarpId w, unsigned s) { return slots[{w, s}]; }
+
+    bool ready(WarpId w, unsigned s, bool) const
     {
-        cfg_ = pipeline::SMConfig::make(
-            pipeline::PipelineMode::Baseline);
+        auto it = slots.find({w, s});
+        return it != slots.end() && it->second.ready;
     }
 
-    Slot &slot(WarpId w, unsigned s) { return slots_[{w, s}]; }
-
-    const pipeline::SMConfig &config() const override
+    const Slot *entryFor(WarpId w, unsigned s) const
     {
-        return cfg_;
-    }
-    Cycle now() const override { return 0; }
-    unsigned numWarps() const override { return num_warps_; }
-    void setNumWarps(unsigned n) { num_warps_ = n; }
-
-    CtxView ctxView(WarpId, unsigned) const override
-    {
-        return CtxView{};
+        return &slots.at({w, s});
     }
 
-    const pipeline::IBufEntry *entryFor(
-        WarpId w, unsigned s) const override
-    {
-        auto it = slots_.find({w, s});
-        if (it == slots_.end() || !it->second.ready)
-            return nullptr;
-        entry_.seq = it->second.seq;
-        entry_.pc = it->second.pc;
-        return &entry_;
-    }
-    pipeline::IBufEntry *entryFor(WarpId w, unsigned s) override
-    {
-        return const_cast<pipeline::IBufEntry *>(
-            std::as_const(*this).entryFor(w, s));
-    }
-    pipeline::IBufEntry *findCtx(WarpId, u32) override
-    {
-        return nullptr;
-    }
-
-    bool ready(WarpId w, unsigned s, bool) const override
-    {
-        auto it = slots_.find({w, s});
-        return it != slots_.end() && it->second.ready;
-    }
-
-    // The mock never parks warps: every warp is always awake.
-    const pipeline::WarpSet &awakeWarps() const override
-    {
-        awake_.reset(num_warps_);
-        for (WarpId w = 0; w < num_warps_; ++w)
-            awake_.insert(w);
-        return awake_;
-    }
-
-    pipeline::ExecGroup *freeGroup(isa::UnitClass) override
-    {
-        return nullptr;
-    }
-    bool issueCand(WarpId, unsigned, bool, PrimaryIssueInfo *,
-                   bool) override
-    {
-        return false;
-    }
-    const PrimaryIssueInfo &lastPrimary() const override
-    {
-        return last_;
-    }
-    void clearLastPrimary() override
-    {
-        last_ = PrimaryIssueInfo{};
-    }
-    core::SimStats &stats() override { return stats_; }
-
-  private:
-    pipeline::SMConfig cfg_;
-    unsigned num_warps_ = 4;
-    mutable pipeline::WarpSet awake_;
-    std::map<std::pair<WarpId, unsigned>, Slot> slots_;
-    // entryFor returns a view of the scripted slot through one
-    // reusable entry (the policies only look at seq/pc).
-    mutable pipeline::IBufEntry entry_;
-    PrimaryIssueInfo last_;
-    core::SimStats stats_;
+    std::map<std::pair<WarpId, unsigned>, Slot> slots;
 };
 
 std::vector<Cand>
@@ -146,91 +72,91 @@ TEST(SchedPolicyRegistry, NamesRoundTrip)
 
 TEST(SchedPolicy, OldestFirstPicksMinimumSeq)
 {
-    MockHost host;
-    auto p = makeSchedPolicy(SchedPolicyKind::OldestFirst, 4);
-    host.slot(1, 0) = {true, 30, 5};
-    host.slot(2, 0) = {true, 10, 9};
-    host.slot(3, 0) = {true, 20, 1};
-    auto c = p->select(host, domain(4), true);
+    Table t;
+    SchedPolicy p(SchedPolicyKind::OldestFirst, 4);
+    t.slot(1, 0) = {true, 30, 5};
+    t.slot(2, 0) = {true, 10, 9};
+    t.slot(3, 0) = {true, 20, 1};
+    auto c = p.select(t, domain(4), true);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->w, 2u);
 
-    host.slot(2, 0).ready = false;
-    c = p->select(host, domain(4), true);
+    t.slot(2, 0).ready = false;
+    c = p.select(t, domain(4), true);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->w, 3u);
 
     for (WarpId w = 0; w < 4; ++w)
-        host.slot(w, 0).ready = false;
-    EXPECT_FALSE(p->select(host, domain(4), true).has_value());
+        t.slot(w, 0).ready = false;
+    EXPECT_FALSE(p.select(t, domain(4), true).has_value());
 }
 
 TEST(SchedPolicy, RoundRobinAdvancesPastIssuedWarp)
 {
-    MockHost host;
-    auto p = makeSchedPolicy(SchedPolicyKind::RoundRobin, 4);
+    Table t;
+    SchedPolicy p(SchedPolicyKind::RoundRobin, 4);
     for (WarpId w = 0; w < 4; ++w)
-        host.slot(w, 0) = {true, u64(100 - w), 0}; // ages decorrelated
+        t.slot(w, 0) = {true, u64(100 - w), 0}; // ages decorrelated
 
-    auto c = p->select(host, domain(4), true);
+    auto c = p.select(t, domain(4), true);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u); // cursor starts at warp 0
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
-    c = p->select(host, domain(4), true);
+    c = p.select(t, domain(4), true);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 1u); // cursor moved past warp 0
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
-    host.slot(2, 0).ready = false; // loose: skip stalled warp
-    c = p->select(host, domain(4), true);
+    t.slot(2, 0).ready = false; // loose: skip stalled warp
+    c = p.select(t, domain(4), true);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 3u);
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
-    c = p->select(host, domain(4), true); // wraps to warp 0
+    c = p.select(t, domain(4), true); // wraps to warp 0
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u);
 }
 
 TEST(SchedPolicy, GtoSticksWithLastWarpThenOldest)
 {
-    MockHost host;
-    auto p = makeSchedPolicy(SchedPolicyKind::GreedyThenOldest, 4);
-    host.slot(0, 0) = {true, 50, 0};
-    host.slot(2, 0) = {true, 10, 0};
+    Table t;
+    SchedPolicy p(SchedPolicyKind::GreedyThenOldest, 4);
+    t.slot(0, 0) = {true, 50, 0};
+    t.slot(2, 0) = {true, 10, 0};
 
     // No last warp yet: oldest (warp 2) wins.
-    auto c = p->select(host, domain(4), true);
+    auto c = p.select(t, domain(4), true);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u);
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
     // Warp 2 still ready: greedy keeps it even when another warp
     // holds the older instruction now.
-    host.slot(0, 0).seq = 1;
-    c = p->select(host, domain(4), true);
+    t.slot(0, 0).seq = 1;
+    c = p.select(t, domain(4), true);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u);
-    p->notifyIssued(*c);
+    p.notifyIssued(*c);
 
     // Last warp dries up: fall back to oldest.
-    host.slot(2, 0).ready = false;
-    c = p->select(host, domain(4), true);
+    t.slot(2, 0).ready = false;
+    c = p.select(t, domain(4), true);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 0u);
 }
 
 TEST(SchedPolicy, MinPcPrefersTrailingPcWithAgeTieBreak)
 {
-    MockHost host;
-    auto p = makeSchedPolicy(SchedPolicyKind::MinPc, 4);
-    host.slot(0, 0) = {true, 5, 40};
-    host.slot(1, 0) = {true, 9, 12};
-    host.slot(2, 0) = {true, 3, 12};
-    host.slot(3, 0) = {true, 1, 90};
+    Table t;
+    SchedPolicy p(SchedPolicyKind::MinPc, 4);
+    t.slot(0, 0) = {true, 5, 40};
+    t.slot(1, 0) = {true, 9, 12};
+    t.slot(2, 0) = {true, 3, 12};
+    t.slot(3, 0) = {true, 1, 90};
 
-    auto c = p->select(host, domain(4), true);
+    auto c = p.select(t, domain(4), true);
     ASSERT_TRUE(c);
     EXPECT_EQ(c->w, 2u); // pc 12, and older than warp 1
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pipeline/config.hh"
 
 namespace siwi::pipeline {
@@ -56,6 +58,26 @@ TEST(Config, SbiSwiCombinesBoth)
     EXPECT_TRUE(c.sbi);
     EXPECT_TRUE(c.swi);
     EXPECT_EQ(c.schedulerLatency(), 2u);
+}
+
+TEST(Config, InterweavingNeedsOneSchedulerPool)
+{
+    // SWI on the two-pool baseline (stack reconvergence allows
+    // it) and SBI on two-pool Warp64 are rejected, naming the
+    // switch and num_pools; with one pool both are machines. (The
+    // five paper machines pass: SMConfig::make validates.)
+    SMConfig swi = SMConfig::make(PipelineMode::Baseline);
+    swi.swi = true;
+    SMConfig sbi = SMConfig::make(PipelineMode::Warp64);
+    sbi.sbi = true;
+    for (SMConfig *c : {&swi, &sbi}) {
+        std::string err = c->checkInvariants();
+        EXPECT_NE(err.find(c->swi ? "swi" : "sbi"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("num_pools"), std::string::npos) << err;
+        c->num_pools = 1;
+        EXPECT_EQ(c->checkInvariants(), "");
+    }
 }
 
 TEST(Config, MemoryDefaultsMatchTable2)

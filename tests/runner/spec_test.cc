@@ -107,6 +107,10 @@ TEST(MachineFromJson, ErrorsNameTheProblem)
     EXPECT_FALSE(machineFromJson(j, "", reg, &m, &err));
     EXPECT_NE(err.find("thread-frontier"), std::string::npos)
         << err;
+    j = parseJson(R"({"name": "X", "base": "baseline",
+                      "set": {"swi": true}})");
+    EXPECT_FALSE(machineFromJson(j, "", reg, &m, &err));
+    EXPECT_NE(err.find("num_pools"), std::string::npos) << err;
 
     j = parseJson(R"({"name": "X", "base": "swi",
                       "flavor": "mild"})");
